@@ -1,0 +1,47 @@
+"""Golden loss series: refactors must leave every training number bit-identical.
+
+Each hash covers the ``.17g`` training-loss series of a short run (two
+residual layers with norm, width 8, two inner steps, 20 iterations, seed
+11) for one architecture on one task. A change that moves any hash changes
+the numerics; it must say why, and say whether the cached acceptance
+artifacts under ``results/acceptance`` still come from equivalent code.
+"""
+
+import hashlib
+
+import pytest
+
+from graphbench.models import ARCHITECTURES, ModelConfig
+from graphbench.training import TrainSettings, task_dims, train
+
+GOLDEN = {
+    ("vrnn", "clustering"): "d6c5b5bc09d1852be17ad786693efd2421100b924b558d7b04e23f71997cbf4d",
+    ("vrnn", "matching"): "b1a08551d633e8499ef3ee07c4a7074b417096d20ccf7f557e267b385931650f",
+    ("ggnn", "clustering"): "0ded33036925e5b18b673d7b7ad28ea3cb2cfc220d5667264726778efff20086",
+    ("ggnn", "matching"): "e7bd92469e2ebbdbffe34a7e58d52f051a7763361a5d1b65700f387a3e24e5b7",
+    ("glstm", "clustering"): "b0777068025aba9c67fc2e5c85b801e6d5af3698b0d0f54542a335c97c958648",
+    ("glstm", "matching"): "ea7587ba10aadf1c311ab2646f69f00b921ebfe49b9390329e6314aed0c45d1a",
+    ("commnet", "clustering"): "ec4228556feca81ea8947bd68ee4bfe753e244a6abc12e133da49f66e62b5cc2",
+    ("commnet", "matching"): "32828d551891a0a2198910cb8934ba939e280e9201ff907c61125f16af891fc3",
+    ("edge_gcn", "clustering"): "4317d9392c35782ea374b02c1186b95ad03ac4d3156cda7c9cc67d75408c77b9",
+    ("edge_gcn", "matching"): "0e4b15dc9f67fba2e5217e28dc257b0829bad9f88d057ece3300eafe775ceae6",
+    ("gated_gcn", "clustering"): "6e7ab4df4f298009ffb5247210c99444207b90ab62778f39e00dd5fda5bab332",
+    ("gated_gcn", "matching"): "84450cbfd7bb336f9ee831dc95f51d207b61bf410c9ba5a581dceb301c0df252",
+}
+
+
+def loss_series_sha256(arch, task):
+    input_dim, n_classes = task_dims(task)
+    config = ModelConfig(arch=arch, n_layers=2, hidden_dim=8, input_dim=input_dim,
+                         n_classes=n_classes, inner_steps=2, residual=True,
+                         use_norm=True)
+    settings = TrainSettings(task=task, n_iters=20, seed=11, eval_instances=1)
+    report, _ = train(config, settings)
+    text = "\n".join(f"{v:.17g}" for v in report.losses)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("task", ["clustering", "matching"])
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_loss_series_matches_golden(arch, task):
+    assert loss_series_sha256(arch, task) == GOLDEN[(arch, task)]
