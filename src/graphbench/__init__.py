@@ -3,8 +3,8 @@
 Pure-numpy reverse-mode autodiff, six graph architectures behind one layer
 interface, SBM task generators, a plateau-scheduled training loop, a
 harmonic label-propagation baseline, and sweep orchestration with
-deterministic outputs. Hot aggregation kernels are numba-compiled with a
-numpy fallback (set GRAPHBENCH_NUMBA=0 to force the fallback).
+deterministic outputs. The edge-aggregation kernels are plain numpy
+(``np.add.at``), so a fixed seed reproduces every number bit for bit.
 """
 
 from . import kernels

@@ -16,7 +16,7 @@ import os
 from .experiments import ExperimentSpec, measure_batch_time, run_dirichlet_baseline, run_experiment
 from .models import ModelConfig, solve_hidden_for_budget
 from .seeding import derive_seed
-from .training import task_dims
+from .training import task_dims, write_json
 
 MASTER_SEED = 2026
 BUDGET = 100_000
@@ -87,11 +87,7 @@ def ensure_timing(base):
         record[arch] = {"batch_time_ms": measured["batch_time_ms"],
                         "repeat_ms": measured["repeat_ms"],
                         "hidden_dim": config.hidden_dim}
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_json(path, record)
     return record
 
 
@@ -101,11 +97,7 @@ def ensure_dirichlet(base):
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     record = run_dirichlet_baseline(0.1, 100, seed=MASTER_SEED)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_json(path, record)
     return record
 
 

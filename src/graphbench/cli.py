@@ -41,6 +41,7 @@ from .training import (
     TrainSettings,
     task_dims,
     train,
+    write_json,
     write_series_csv,
     write_summary_json,
 )
@@ -165,10 +166,7 @@ def cmd_train(args):
     if report is None:
         report, model = train(config, settings)
         model.save(os.path.join(args.out, "model.npz"))
-        tmp = state_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"key": key, "report": report.to_state()}, fh, sort_keys=True)
-        os.replace(tmp, state_path)
+        write_json(state_path, {"key": key, "report": report.to_state()})
 
     write_series_csv(report, os.path.join(args.out, "series.csv"))
     write_summary_json(report, os.path.join(args.out, "summary.json"))
@@ -197,9 +195,7 @@ def cmd_dirichlet(args):
     if result["flagged_nodes_total"]:
         print(f"flagged {result['flagged_nodes_total']} nodes in seedless components")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, result)
     return 0
 
 

@@ -42,6 +42,7 @@ from .training import (
     task_dims,
     train,
     weighted_loss,
+    write_json,
 )
 
 SWEEP_KINDS = ("noise", "layers", "budget", "inner_steps", "learning_speed")
@@ -223,14 +224,6 @@ def _timing_path(out_dir, arch, value):
     return os.path.join(out_dir, "cells", f"time-{arch}-v{_value_token(value)}.json")
 
 
-def _write_json(path, payload):
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
 def _load_record(path, spec_hash):
     with open(path, encoding="utf-8") as fh:
         rec = json.load(fh)
@@ -259,7 +252,7 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers=1):
             raise ContractError(
                 f"{out_dir} already holds a different experiment; use a fresh dir")
     else:
-        _write_json(spec_path, json.loads(spec.canonical_json()))
+        write_json(spec_path, json.loads(spec.canonical_json()))
 
     spec_hash = spec.spec_hash()
     grid = [(arch, value, trial)
@@ -273,11 +266,11 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers=1):
         args = [(asdict(spec), a, v, t) for (a, v, t) in pending]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for (a, v, t), rec in zip(pending, pool.map(_cell_worker, args)):
-                _write_json(_cell_path(out_dir, a, v, t), rec)
+                write_json(_cell_path(out_dir, a, v, t), rec)
     else:
         for a, v, t in pending:
             rec = run_single_cell(spec, a, v, t)
-            _write_json(_cell_path(out_dir, a, v, t), rec)
+            write_json(_cell_path(out_dir, a, v, t), rec)
 
     cells = {(a, v, t): _load_record(_cell_path(out_dir, a, v, t), spec_hash)
              for (a, v, t) in grid}
@@ -304,11 +297,11 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers=1):
                     rec.update({"schema": "graphbench-timing v1",
                                 "spec_hash": spec_hash, "arch": arch,
                                 "sweep_value": value, "error": None})
-                _write_json(path, rec)
+                write_json(path, rec)
                 timings[(arch, value)] = rec
 
     summary = _summarize(spec, cells, timings)
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
+    write_json(os.path.join(out_dir, "summary.json"), summary)
     _write_results_csv(spec, summary, os.path.join(out_dir, "results.csv"))
     if spec.sweep == "learning_speed":
         _write_curves_csv(spec, cells, os.path.join(out_dir, "learning_speed.csv"))

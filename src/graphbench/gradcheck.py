@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import SbmParams, sbm_generate
-from .models import _LAYER_TYPES, GraphModel, ModelConfig
+from .models import ARCHITECTURES, GraphModel, ModelConfig, make_layer
 from .tensor import (
     Tape,
     Tensor,
@@ -203,9 +203,9 @@ def layer_checks(seed=0, hidden=4, inner_steps=2):
     checks = []
     graph = _test_graph(seed + 2)
     adj = graph.adjacency
-    for i, (arch, layer_cls) in enumerate(sorted(_LAYER_TYPES.items())):
+    for i, arch in enumerate(sorted(ARCHITECTURES)):
         rng = np.random.default_rng(seed + 10 + i)
-        layer = layer_cls(rng, hidden, inner_steps, use_norm=True)
+        layer = make_layer(arch, rng, hidden, inner_steps, use_norm=True)
         x = _param(rng, graph.n_nodes, hidden)
         proj = Tensor(rng.normal(size=(graph.n_nodes, hidden)))
         wrt = [("x", x)] + layer.named_tensors()

@@ -4,7 +4,7 @@ Every layer maps (node features n x H, adjacency) -> node features n x H,
 so layers stack to any depth and the identity skip connection is always
 shape-compatible. Three layer families are recurrent (they run
 ``inner_steps`` update iterations inside each layer); three are
-single-pass convolutions.
+single-pass convolutions, all served by one class, ``ConvLayer``.
 
     vrnn       h_i <- sum_j A sigma(B sigma(U x_i + V h_j)),  h(0) = 0
     ggnn       GRU cell driven by the neighbor sum,            h(0) = x
@@ -43,8 +43,9 @@ from .tensor import (
     tanh,
 )
 
-ARCHITECTURES = ("vrnn", "ggnn", "glstm", "commnet", "edge_gcn", "gated_gcn")
 RECURRENT_ARCHITECTURES = ("vrnn", "ggnn", "glstm")
+CONV_ARCHITECTURES = ("commnet", "edge_gcn", "gated_gcn")
+ARCHITECTURES = RECURRENT_ARCHITECTURES + CONV_ARCHITECTURES
 
 # weight-matrix count per layer, used by the closed-form parameter count
 _LINEARS_PER_LAYER = {
@@ -151,9 +152,6 @@ def residual_wrap(layer_output, layer_input):
 
 
 class _Layer:
-    def named_modules(self):
-        return self._modules
-
     def named_tensors(self):
         out = []
         for name, mod in self._modules:
@@ -288,92 +286,66 @@ class GlstmLayer(_Layer):
         return h
 
 
-class CommnetLayer(_Layer):
-    """ReLU(U h_i + sum_j V h_j); the neighbor bias is added once per node."""
+class ConvLayer(_Layer):
+    """ReLU(U h_i + sum_j eta_ij * V h_j) and its two reductions.
 
-    arch = "commnet"
-
-    def __init__(self, rng, hidden_dim, inner_steps=1, use_norm=True):
-        self.hidden_dim = hidden_dim
-        self.center = Linear(rng, hidden_dim, hidden_dim)
-        self.neighbor = Linear(rng, hidden_dim, hidden_dim)
-        self.norm = BatchNorm(hidden_dim) if use_norm else None
-        self._modules = [("center", self.center), ("neighbor", self.neighbor)]
-        if self.norm:
-            self._modules.append(("norm", self.norm))
-
-    def __call__(self, h, adj, mode):
-        nb = bias_add(neighbor_sum(matmul(h, self.neighbor.weight), adj),
-                      self.neighbor.bias)
-        pre = add(self.center(h), nb)
-        if self.norm:
-            pre = self.norm(pre, mode)
-        return relu(pre)
-
-
-class EdgeGcnLayer(_Layer):
-    """ReLU(sum_j eta_ij * V h_j) with no center-vertex term."""
-
-    arch = "edge_gcn"
-
-    def __init__(self, rng, hidden_dim, inner_steps=1, use_norm=True):
-        self.hidden_dim = hidden_dim
-        self.neighbor = Linear(rng, hidden_dim, hidden_dim)
-        self.gate_center = Linear(rng, hidden_dim, hidden_dim)
-        self.gate_neighbor = Linear(rng, hidden_dim, hidden_dim)
-        self.norm = BatchNorm(hidden_dim) if use_norm else None
-        self._modules = [("neighbor", self.neighbor), ("gate_center", self.gate_center),
-                         ("gate_neighbor", self.gate_neighbor)]
-        if self.norm:
-            self._modules.append(("norm", self.norm))
-
-    def __call__(self, h, adj, mode, gates=None):
-        if gates is None:
-            gates = edge_gates(h, adj, self.gate_center, self.gate_neighbor)
-        pre = bias_add(gated_neighbor_sum(matmul(h, self.neighbor.weight), gates, adj),
-                       self.neighbor.bias)
-        if self.norm:
-            pre = self.norm(pre, mode)
-        return relu(pre)
-
-
-class GatedGcnLayer(_Layer):
-    """ReLU(U h_i + sum_j eta_ij * V h_j), gates computed from this layer's input."""
+    gated_gcn keeps both terms; commnet drops the edge gates and aggregates
+    with the plain neighbor sum; edge_gcn drops the center term U h_i.
+    Gates are computed from this layer's input unless ``gates`` is passed.
+    The class-level ``arch`` is the default variant; each instance sets its
+    own.
+    """
 
     arch = "gated_gcn"
 
-    def __init__(self, rng, hidden_dim, inner_steps=1, use_norm=True):
-        self.hidden_dim = hidden_dim
-        self.center = Linear(rng, hidden_dim, hidden_dim)
+    def __init__(self, rng, hidden_dim, use_norm=True, arch="gated_gcn"):
+        if arch not in CONV_ARCHITECTURES:
+            raise ContractError(f"{arch!r} is not a convolutional architecture")
+        self.arch = arch
+        self.centered = arch != "edge_gcn"
+        self.gated = arch != "commnet"
+        # draws center, neighbor, gate_center, gate_neighbor in that order, skipping
+        # absent ones: seeded runs and their golden loss series depend on it
+        self._modules = []
+        if self.centered:
+            self.center = Linear(rng, hidden_dim, hidden_dim)
+            self._modules.append(("center", self.center))
         self.neighbor = Linear(rng, hidden_dim, hidden_dim)
-        self.gate_center = Linear(rng, hidden_dim, hidden_dim)
-        self.gate_neighbor = Linear(rng, hidden_dim, hidden_dim)
+        self._modules.append(("neighbor", self.neighbor))
+        if self.gated:
+            self.gate_center = Linear(rng, hidden_dim, hidden_dim)
+            self.gate_neighbor = Linear(rng, hidden_dim, hidden_dim)
+            self._modules += [("gate_center", self.gate_center),
+                              ("gate_neighbor", self.gate_neighbor)]
         self.norm = BatchNorm(hidden_dim) if use_norm else None
-        self._modules = [("center", self.center), ("neighbor", self.neighbor),
-                         ("gate_center", self.gate_center),
-                         ("gate_neighbor", self.gate_neighbor)]
         if self.norm:
             self._modules.append(("norm", self.norm))
 
     def __call__(self, h, adj, mode, gates=None):
-        if gates is None:
-            gates = edge_gates(h, adj, self.gate_center, self.gate_neighbor)
-        nb = bias_add(gated_neighbor_sum(matmul(h, self.neighbor.weight), gates, adj),
-                      self.neighbor.bias)
-        pre = add(self.center(h), nb)
+        if self.gated:
+            if gates is None:
+                gates = edge_gates(h, adj, self.gate_center, self.gate_neighbor)
+            agg = gated_neighbor_sum(matmul(h, self.neighbor.weight), gates, adj)
+        elif gates is not None:
+            raise ContractError("commnet has no edge gates")
+        else:
+            agg = neighbor_sum(matmul(h, self.neighbor.weight), adj)
+        pre = bias_add(agg, self.neighbor.bias)
+        if self.centered:
+            pre = add(self.center(h), pre)
         if self.norm:
             pre = self.norm(pre, mode)
         return relu(pre)
 
 
-_LAYER_TYPES = {
-    "vrnn": VrnnLayer,
-    "ggnn": GgnnLayer,
-    "glstm": GlstmLayer,
-    "commnet": CommnetLayer,
-    "edge_gcn": EdgeGcnLayer,
-    "gated_gcn": GatedGcnLayer,
-}
+_RECURRENT_LAYERS = {"vrnn": VrnnLayer, "ggnn": GgnnLayer, "glstm": GlstmLayer}
+
+
+def make_layer(arch, rng, hidden_dim, inner_steps, use_norm):
+    """One layer of ``arch``; the three convolutional variants share ConvLayer."""
+    if arch in CONV_ARCHITECTURES:
+        return ConvLayer(rng, hidden_dim, use_norm, arch=arch)
+    return _RECURRENT_LAYERS[arch](rng, hidden_dim, inner_steps, use_norm)
 
 
 def _norm_mode(training, use_running_stats):
@@ -390,8 +362,8 @@ class GraphModel:
         rng = np.random.default_rng(seed)
         h = config.hidden_dim
         self.embed = Linear(rng, config.input_dim, h)
-        layer_cls = _LAYER_TYPES[config.arch]
-        self.layers = [layer_cls(rng, h, config.inner_steps, config.use_norm)
+        self.layers = [make_layer(config.arch, rng, h, config.inner_steps,
+                                  config.use_norm)
                        for _ in range(config.n_layers)]
         self.readout = Linear(rng, h, config.n_classes)
 
@@ -411,15 +383,6 @@ class GraphModel:
             out = layer(h, adj, mode)
             h = residual_wrap(out, h) if self.config.residual else out
         return self.readout(h)
-
-    def hidden_states(self, features, adj, training=False, use_running_stats=False):
-        """Node features after the last layer, before the readout."""
-        mode = _norm_mode(training, use_running_stats)
-        h = self.embed(Tensor(np.asarray(features, dtype=np.float64)))
-        for layer in self.layers:
-            out = layer(h, adj, mode)
-            h = residual_wrap(out, h) if self.config.residual else out
-        return h
 
     def named_tensors(self):
         out = [("embed.weight", self.embed.weight), ("embed.bias", self.embed.bias)]

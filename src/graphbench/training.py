@@ -13,6 +13,7 @@ reloaded from JSON reproduces its CSV and summary byte-for-byte.
 """
 
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -379,7 +380,18 @@ def summary_dict(report: TrainReport):
     }
 
 
-def write_summary_json(report: TrainReport, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary_dict(report), fh, indent=2, sort_keys=True)
+def write_json(path, payload):
+    """Write sorted, indented JSON with a trailing newline, atomically.
+
+    The payload goes to ``path + ".tmp"`` first and is renamed over
+    ``path``, so a reader never sees a half-written file.
+    """
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(tmp, path)
+
+
+def write_summary_json(report: TrainReport, path):
+    write_json(path, summary_dict(report))

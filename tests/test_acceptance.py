@@ -19,8 +19,7 @@ from graphbench.generators import SbmParams, sbm_generate
 from graphbench.gradcheck import run_all as run_gradient_checks
 from graphbench.models import (
     ARCHITECTURES,
-    CommnetLayer,
-    GatedGcnLayer,
+    ConvLayer,
     GraphModel,
     ModelConfig,
     count_params,
@@ -68,8 +67,8 @@ def test_criterion_01_gradients_match_finite_differences():
 
 def test_criterion_02_sparse_aggregation_is_exact():
     rng = np.random.default_rng(202)
-    gated = GatedGcnLayer(np.random.default_rng(1), 8, use_norm=True)
-    plain = CommnetLayer(np.random.default_rng(2), 8, use_norm=True)
+    gated = ConvLayer(np.random.default_rng(1), 8, use_norm=True)
+    plain = ConvLayer(np.random.default_rng(2), 8, use_norm=True, arch="commnet")
     plain.center.weight.data = gated.center.weight.data.copy()
     plain.center.bias.data = gated.center.bias.data.copy()
     plain.neighbor.weight.data = gated.neighbor.weight.data.copy()

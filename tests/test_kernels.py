@@ -1,15 +1,8 @@
 import numpy as np
-import pytest
 
 from graphbench import kernels
 from graphbench.adjacency import SparseAdjacency
 from graphbench.generators import SbmParams, sbm_generate
-
-
-@pytest.fixture(autouse=True)
-def restore_kernel_binding():
-    yield
-    kernels.use("numba" if kernels.NUMBA_ENABLED else "numpy")
 
 
 def random_graph(seed):
@@ -63,42 +56,6 @@ def test_empty_edge_set():
     empty = np.zeros(0, dtype=np.int64)
     out = kernels.neighbor_sum(h, empty, empty, 4)
     assert np.array_equal(out, np.zeros((4, 2)))
-
-
-def test_use_rejects_unknown_implementation():
-    with pytest.raises(KeyError):
-        kernels.use("fortran")
-
-
-def test_numpy_path_selectable():
-    kernels.use("numpy")
-    assert kernels.neighbor_sum is kernels.IMPLEMENTATIONS["numpy"]["neighbor_sum"]
-
-
-@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not installed")
-def test_numba_and_numpy_paths_bit_identical():
-    rng = np.random.default_rng(4)
-    g = sbm_generate(SbmParams(0.5, 0.2, (10, 12, 9)), 7)
-    adj = g.adjacency
-    h = rng.normal(size=(g.n_nodes, 6))
-    gates = rng.uniform(size=(adj.n_edges, 6))
-    rows = rng.normal(size=(adj.n_edges, 6))
-
-    kernels.use("numba")
-    a = (kernels.neighbor_sum(h, adj.src, adj.dst, g.n_nodes),
-         kernels.gated_neighbor_sum(h, gates, adj.src, adj.dst, g.n_nodes),
-         kernels.scatter_rows(rows, adj.dst, g.n_nodes))
-    kernels.use("numpy")
-    b = (kernels.neighbor_sum(h, adj.src, adj.dst, g.n_nodes),
-         kernels.gated_neighbor_sum(h, gates, adj.src, adj.dst, g.n_nodes),
-         kernels.scatter_rows(rows, adj.dst, g.n_nodes))
-    for got, expect in zip(a, b):
-        assert np.array_equal(got, expect)  # bit-for-bit, not just close
-
-
-def test_warmup_is_idempotent():
-    kernels.warmup()
-    kernels.warmup()
 
 
 def test_adjacency_canonical_edge_order():

@@ -6,8 +6,7 @@ from graphbench.errors import BudgetError, ContractError
 from graphbench.generators import SbmParams, sbm_generate
 from graphbench.models import (
     ARCHITECTURES,
-    CommnetLayer,
-    GatedGcnLayer,
+    ConvLayer,
     GgnnLayer,
     GlstmLayer,
     GraphModel,
@@ -99,8 +98,8 @@ def test_permutation_equivariance_all_architectures():
 
 def test_unit_gates_reduce_gated_to_commnet_bitwise():
     rng = np.random.default_rng(7)
-    gated = GatedGcnLayer(rng, 6, use_norm=True)
-    plain = CommnetLayer(np.random.default_rng(8), 6, use_norm=True)
+    gated = ConvLayer(rng, 6, use_norm=True)
+    plain = ConvLayer(np.random.default_rng(8), 6, use_norm=True, arch="commnet")
     # share the U/V weights and the norm state
     plain.center.weight.data = gated.center.weight.data.copy()
     plain.center.bias.data = gated.center.bias.data.copy()
@@ -140,7 +139,7 @@ def test_glstm_zero_weights_gives_zero_output():
 
 def test_commnet_zero_weights_yields_bias_rows():
     graph = small_graph(6)
-    layer = CommnetLayer(np.random.default_rng(2), 4, use_norm=False)
+    layer = ConvLayer(np.random.default_rng(2), 4, use_norm=False, arch="commnet")
     layer.center.weight.data[...] = 0.0
     layer.neighbor.weight.data[...] = 0.0
     x = Tensor(np.random.default_rng(1).normal(size=(graph.n_nodes, 4)))
