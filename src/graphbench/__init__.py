@@ -3,8 +3,9 @@
 Pure-numpy reverse-mode autodiff, six graph architectures behind one layer
 interface, SBM task generators, a plateau-scheduled training loop, a
 harmonic label-propagation baseline, and sweep orchestration with
-deterministic outputs. The edge-aggregation kernels are plain numpy
-(``np.add.at``), so a fixed seed reproduces every number bit for bit.
+deterministic outputs. The edge-aggregation kernels are sparse-matrix
+products that add in a fixed edge order, so a fixed seed reproduces every
+number bit for bit.
 """
 
 from . import kernels

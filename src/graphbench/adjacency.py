@@ -3,11 +3,17 @@
 Edges are directed (src -> dst) and stored sorted by (dst, src), so all
 in-edges of a node are contiguous and kernels accumulate per destination
 in ascending neighbor order. Undirected graphs store both directions.
+
+The kernels multiply by four unit-valued CSR operators (the adjacency,
+its transpose, and the incidence by dst and by src), each built on first
+use and kept for the life of the graph, with every row's columns in the
+order a scatter-add over the stored edges would reach them.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
-from .errors import GraphStructureError
+from .errors import ContractError, GraphStructureError
 
 
 class SparseAdjacency:
@@ -20,7 +26,8 @@ class SparseAdjacency:
             the slice offsets[i]:offsets[i+1].
     """
 
-    __slots__ = ("n_nodes", "src", "dst", "offsets")
+    __slots__ = ("n_nodes", "src", "dst", "offsets",
+                 "_adj_to_dst", "_adj_to_src", "_inc_to_dst", "_inc_to_src")
 
     def __init__(self, n_nodes, src, dst):
         src = np.asarray(src, dtype=np.int64)
@@ -42,9 +49,11 @@ class SparseAdjacency:
         self.n_nodes = int(n_nodes)
         self.src = src
         self.dst = dst
-        self.offsets = np.zeros(n_nodes + 1, dtype=np.int64)
-        np.add.at(self.offsets, dst + 1, 1)
-        np.cumsum(self.offsets, out=self.offsets)
+        self.offsets = _row_offsets(dst, n_nodes)
+        self._adj_to_dst = None
+        self._adj_to_src = None
+        self._inc_to_dst = None
+        self._inc_to_src = None
 
     @classmethod
     def from_undirected(cls, n_nodes, pairs):
@@ -86,6 +95,47 @@ class SparseAdjacency:
         fwd = set(zip(self.src.tolist(), self.dst.tolist()))
         return all((d, s) in fwd for s, d in fwd)
 
+    def endpoint(self, name):
+        """The ``dst`` or ``src`` index array, selected by name."""
+        if name == "dst":
+            return self.dst
+        if name == "src":
+            return self.src
+        raise ContractError(f"edge endpoint must be 'dst' or 'src', not {name!r}")
+
+    def adjacency_matrix(self, to):
+        """n x n operator M with (M @ h)[v] = sum of h[u] over edges u -> v.
+
+        ``to="src"`` gives the transpose: sums along reversed edges.
+        """
+        self.endpoint(to)  # rejects any name but "dst" and "src"
+        if to == "dst":
+            if self._adj_to_dst is None:
+                self._adj_to_dst = _unit_csr(self.src, self.offsets, self.n_nodes)
+            return self._adj_to_dst
+        if self._adj_to_src is None:
+            by_src = self.incidence("src")
+            self._adj_to_src = _unit_csr(self.dst[by_src.indices], by_src.indptr,
+                                         self.n_nodes)
+        return self._adj_to_src
+
+    def incidence(self, to):
+        """n x E operator M with (M @ rows)[v] = sum of rows[e] over the edges
+        whose ``to`` endpoint is v."""
+        self.endpoint(to)
+        if to == "dst":
+            if self._inc_to_dst is None:
+                self._inc_to_dst = _unit_csr(np.arange(self.n_edges), self.offsets,
+                                             self.n_edges)
+            return self._inc_to_dst
+        if self._inc_to_src is None:
+            # a stable sort keeps each source's edges in ascending edge order,
+            # which (edges being sorted by (dst, src)) is also ascending dst
+            order = np.argsort(self.src, kind="stable")
+            self._inc_to_src = _unit_csr(order, _row_offsets(self.src, self.n_nodes),
+                                         self.n_edges)
+        return self._inc_to_src
+
     def to_dense(self):
         a = np.zeros((self.n_nodes, self.n_nodes))
         a[self.dst, self.src] = 1.0
@@ -93,3 +143,16 @@ class SparseAdjacency:
 
     def __repr__(self):
         return f"SparseAdjacency(n_nodes={self.n_nodes}, n_edges={self.n_edges})"
+
+
+def _row_offsets(keys, n_rows):
+    """CSR row pointer: row r spans offsets[r]:offsets[r+1] of keys sorted by row."""
+    offsets = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n_rows), out=offsets[1:])
+    return offsets
+
+
+def _unit_csr(columns, indptr, n_cols):
+    """Unit-valued CSR matrix; each row's columns must already ascend."""
+    n_rows = indptr.size - 1
+    return sp.csr_matrix((np.ones(columns.size), columns, indptr), shape=(n_rows, n_cols))

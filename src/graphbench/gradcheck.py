@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adjacency import SparseAdjacency
 from .generators import SbmParams, sbm_generate
 from .models import ARCHITECTURES, GraphModel, ModelConfig, make_layer
 from .tensor import (
@@ -140,16 +141,20 @@ def op_checks(seed=0):
     checks.append(("relu", lambda: _scalarize(relu(r), proj3), [("r", r)]))
     checks.append(("sum_all", lambda: scale(sum_all(s), 0.5), [("s", s)]))
 
+    # a directed graph on 6 nodes where node 4 has no edges and nodes 0, 2
+    # receive or send several, so gradients both sum and stay zero
+    small = SparseAdjacency(6, [0, 2, 2, 5, 1, 0, 3], [2, 0, 3, 2, 0, 5, 0])
     g = _param(rng, 6, 4)
-    idx = np.array([0, 2, 2, 5, 1, 0, 3])
-    proj4 = Tensor(rng.normal(size=(7, 4)))
-    checks.append(("gather_rows", lambda: _scalarize(gather_rows(g, idx), proj4),
-                   [("g", g)]))
-    sc = _param(rng, 7, 4)
-    proj5 = Tensor(rng.normal(size=(8, 4)))
-    checks.append(("scatter_rows",
-                   lambda: _scalarize(scatter_rows(sc, idx, 8), proj5),
-                   [("sc", sc)]))
+    proj4 = Tensor(rng.normal(size=(small.n_edges, 4)))
+    sc = _param(rng, small.n_edges, 4)
+    proj5 = Tensor(rng.normal(size=(6, 4)))
+    for end in ("dst", "src"):
+        checks.append((f"gather_rows_{end}",
+                       lambda end=end: _scalarize(gather_rows(g, small, end), proj4),
+                       [("g", g)]))
+        checks.append((f"scatter_rows_{end}",
+                       lambda end=end: _scalarize(scatter_rows(sc, small, end), proj5),
+                       [("sc", sc)]))
 
     graph = _test_graph(seed + 1)
     adj = graph.adjacency

@@ -1,31 +1,32 @@
 """Edge-aggregation kernels, the hot inner loops of every architecture.
 
-Each kernel sums per-edge rows into per-node rows with ``np.add.at``,
-which accumulates in edge order, so results are reproducible bit for bit.
-The backward of a neighbor sum is the same kernel along reversed edges.
+Each kernel is one product of a cached unit-valued CSR operator of the
+graph (see ``SparseAdjacency``) with a dense array. ``to`` names the edge
+endpoint whose node rows receive the sums: ``"dst"`` aggregates along the
+edges, ``"src"`` along reversed edges, which is the backward of the
+``"dst"`` direction.
+
+The products are bit-identical to an unbuffered scatter-add that visits
+the edges in storage order. scipy's CSR product fills each output row
+from zero, adding 1.0 * x for each stored column in index order, and each
+operator's row lists its columns in exactly that edge order.
+
 ``tensor`` looks the kernels up as ``kernels.<name>`` at call time, so
 rebinding a module attribute (as a profiler does) reaches every call.
 """
 
-import numpy as np
+
+def scatter_rows(rows, adj, to):
+    """out[adj.<to>[e]] += rows[e] for every edge e; one row per node."""
+    return adj.incidence(to) @ rows
 
 
-def scatter_rows(rows, idx, n_out):
-    """out[idx[e]] += rows[e] for every edge e; out has n_out rows."""
-    out = np.zeros((n_out, rows.shape[1]))
-    np.add.at(out, idx, rows)
-    return out
+def neighbor_sum(h, adj, to):
+    """out[dst[e]] += h[src[e]] for every edge e (``to="src"``: reversed)."""
+    return adj.adjacency_matrix(to) @ h
 
 
-def neighbor_sum(h, src, dst, n_out):
-    """out[dst[e]] += h[src[e]] for every edge e."""
-    out = np.zeros((n_out, h.shape[1]))
-    np.add.at(out, dst, h[src])
-    return out
-
-
-def gated_neighbor_sum(h, gates, src, dst, n_out):
-    """out[dst[e]] += gates[e] * h[src[e]] for every edge e."""
-    out = np.zeros((n_out, h.shape[1]))
-    np.add.at(out, dst, gates * h[src])
-    return out
+def gated_neighbor_sum(h, gates, adj, to):
+    """out[dst[e]] += gates[e] * h[src[e]] for every edge e (``to="src"``: reversed)."""
+    source = adj.endpoint("src" if to == "dst" else "dst")
+    return adj.incidence(to) @ (gates * h[source])

@@ -39,7 +39,6 @@ from .tensor import (
     relu,
     scatter_rows,
     sigmoid,
-    sum_all,
     tanh,
 )
 
@@ -143,7 +142,7 @@ def edge_gates(h, adj, gate_center, gate_neighbor):
     """Per-edge gate vectors eta_e = sigmoid(A h_dst + B h_src), one row per directed edge."""
     ah = gate_center(h)
     bh = gate_neighbor(h)
-    return sigmoid(add(gather_rows(ah, adj.dst), gather_rows(bh, adj.src)))
+    return sigmoid(add(gather_rows(ah, adj, "dst"), gather_rows(bh, adj, "src")))
 
 
 def residual_wrap(layer_output, layer_input):
@@ -190,13 +189,13 @@ class VrnnLayer(_Layer):
     def __call__(self, x, adj, mode):
         n = x.data.shape[0]
         ux = self.input_map(x)
-        ux_dst = gather_rows(ux, adj.dst)
+        ux_dst = gather_rows(ux, adj, "dst")
         h = Tensor(np.zeros((n, self.hidden_dim)))
         for _ in range(self.inner_steps):
             vh = self.state_map(h)
-            inner = sigmoid(add(ux_dst, gather_rows(vh, adj.src)))
+            inner = sigmoid(add(ux_dst, gather_rows(vh, adj, "src")))
             per_edge = self.out_map(sigmoid(self.mid_map(inner)))
-            h = scatter_rows(per_edge, adj.dst, n)
+            h = scatter_rows(per_edge, adj, "dst")
             if self.norm:
                 h = self.norm(h, mode)
         return h
@@ -270,7 +269,7 @@ class GlstmLayer(_Layer):
         ui = self.in_gate_in(x)
         uo = self.out_gate_in(x)
         uc = self.cell_in(x)
-        uf_dst = gather_rows(self.forget_in(x), adj.dst)
+        uf_dst = gather_rows(self.forget_in(x), adj, "dst")
         h = Tensor(np.zeros((n, self.hidden_dim)))
         c = Tensor(np.zeros((n, self.hidden_dim)))
         for _ in range(self.inner_steps):
@@ -280,7 +279,7 @@ class GlstmLayer(_Layer):
             gate_in = sigmoid(add(ui, self.in_gate_nb(agg)))
             gate_out = sigmoid(add(uo, self.out_gate_nb(agg)))
             cand = tanh(add(uc, self.cell_nb(agg)))
-            forget = sigmoid(add(uf_dst, gather_rows(self.forget_nb(h), adj.src)))
+            forget = sigmoid(add(uf_dst, gather_rows(self.forget_nb(h), adj, "src")))
             c = add(hadamard(gate_in, cand), gated_neighbor_sum(c, forget, adj))
             h = hadamard(gate_out, tanh(c))
         return h

@@ -294,31 +294,39 @@ def sum_all(x):
 # ---------------------------------------------------------------------------
 
 
-def gather_rows(x, idx):
-    """Select rows x[idx]; gradient scatter-adds back into x."""
-    idx = np.asarray(idx, dtype=np.int64)
+def _check_node_rows(x, adj, op):
     if x.data.ndim != 2:
-        raise ShapeError("gather_rows expects a 2-d tensor")
-    n = x.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ContractError(f"gather_rows: indices must lie in [0, {n})")
+        raise ShapeError(f"{op} expects a 2-d tensor")
+    if x.data.shape[0] != adj.n_nodes:
+        raise GraphStructureError(
+            f"{op}: adjacency has {adj.n_nodes} nodes, features have "
+            f"{x.data.shape[0]} rows")
+
+
+def gather_rows(x, adj, endpoint):
+    """Row e of the result is x[adj.<endpoint>[e]], one row per edge.
+
+    The gradient scatter-adds each edge row back into its node row.
+    """
+    _check_node_rows(x, adj, "gather_rows")
+    idx = adj.endpoint(endpoint)
 
     def make():
         def rule(g, acc):
-            acc(x, kernels.scatter_rows(g, idx, n))
+            acc(x, kernels.scatter_rows(g, adj, endpoint))
 
         return rule
 
     return _result(x.data[idx], (x,), make)
 
 
-def scatter_rows(x, idx, n_out):
-    """Accumulate row e of x into output row idx[e]."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if x.data.ndim != 2 or idx.shape[0] != x.data.shape[0]:
-        raise ShapeError("scatter_rows: one index per row required")
-    if idx.size and (idx.min() < 0 or idx.max() >= n_out):
-        raise GraphStructureError("scatter index out of range")
+def scatter_rows(x, adj, endpoint):
+    """Row v of the result sums the rows e of x with adj.<endpoint>[e] == v."""
+    if x.data.ndim != 2 or x.data.shape[0] != adj.n_edges:
+        raise ShapeError(
+            f"scatter_rows: one row per edge required, got {x.data.shape} "
+            f"for {adj.n_edges} edges")
+    idx = adj.endpoint(endpoint)
 
     def make():
         def rule(g, acc):
@@ -326,23 +334,17 @@ def scatter_rows(x, idx, n_out):
 
         return rule
 
-    return _result(kernels.scatter_rows(x.data, idx, n_out), (x,), make)
+    return _result(kernels.scatter_rows(x.data, adj, endpoint), (x,), make)
 
 
 def neighbor_sum(h, adj):
     """Row i of the result is the sum of h rows over in-neighbors of i."""
-    if h.data.ndim != 2:
-        raise ShapeError("neighbor_sum expects a 2-d tensor")
-    if adj.n_nodes != h.data.shape[0]:
-        raise GraphStructureError(
-            f"adjacency has {adj.n_nodes} nodes, features have {h.data.shape[0]} rows"
-        )
-    data = kernels.neighbor_sum(h.data, adj.src, adj.dst, adj.n_nodes)
+    _check_node_rows(h, adj, "neighbor_sum")
+    data = kernels.neighbor_sum(h.data, adj, "dst")
 
     def make():
         def rule(g, acc):
-            # scatter along reversed edges
-            acc(h, kernels.neighbor_sum(g, adj.dst, adj.src, adj.n_nodes))
+            acc(h, kernels.neighbor_sum(g, adj, "src"))
 
         return rule
 
@@ -351,19 +353,18 @@ def neighbor_sum(h, adj):
 
 def gated_neighbor_sum(h, gates, adj):
     """Row i = sum over in-edges (j -> i) of gates_e * h_j, differentiable in both."""
-    if h.data.ndim != 2 or gates.data.ndim != 2:
+    _check_node_rows(h, adj, "gated_neighbor_sum")
+    if gates.data.ndim != 2:
         raise ShapeError("gated_neighbor_sum expects 2-d tensors")
     if gates.data.shape != (adj.n_edges, h.data.shape[1]):
         raise GraphStructureError(
             f"expected one gate row per edge: {gates.data.shape} vs {adj.n_edges} edges"
         )
-    if adj.n_nodes != h.data.shape[0]:
-        raise GraphStructureError("adjacency / feature size mismatch")
-    data = kernels.gated_neighbor_sum(h.data, gates.data, adj.src, adj.dst, adj.n_nodes)
+    data = kernels.gated_neighbor_sum(h.data, gates.data, adj, "dst")
 
     def make():
         def rule(g, acc):
-            acc(h, kernels.gated_neighbor_sum(g, gates.data, adj.dst, adj.src, adj.n_nodes))
+            acc(h, kernels.gated_neighbor_sum(g, gates.data, adj, "src"))
             acc(gates, h.data[adj.src] * g[adj.dst])
 
         return rule

@@ -158,33 +158,48 @@ def test_intermediate_tensors_receive_grads():
     assert np.array_equal(x.grad, 3.0 * np.ones((1, 2)))
 
 
+def small_directed():
+    # edges 1->0, 2->0, 0->3 (stored sorted by dst); node 0 receives twice
+    return SparseAdjacency(4, [0, 1, 2], [3, 0, 0])
+
+
 def test_gather_scatter_roundtrip_grads():
+    adj = small_directed()
     x = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
-    idx = np.array([3, 0, 0])
     with Tape() as tape:
-        picked = gather_rows(x, idx)
+        picked = gather_rows(x, adj, "dst")
         loss = sum_all(picked)
-    assert np.array_equal(picked.data, x.data[idx])
+    assert np.array_equal(picked.data, x.data[[0, 0, 3]])
     backward(loss)
     # row 0 gathered twice, row 3 once, rows 1-2 never
     assert np.array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
 
 
 def test_scatter_rows_accumulates_duplicates():
+    adj = small_directed()
     rows = Tensor([[1.0], [2.0], [4.0]], requires_grad=True)
-    idx = np.array([1, 1, 0])
     with Tape() as tape:
-        out = scatter_rows(rows, idx, 3)
+        out = scatter_rows(rows, adj, "dst")
         loss = sum_all(out)
-    assert np.array_equal(out.data, [[4.0], [3.0], [0.0]])
+    assert np.array_equal(out.data, [[3.0], [0.0], [0.0], [4.0]])
+    by_src = scatter_rows(rows, adj, "src")
+    assert np.array_equal(by_src.data, [[4.0], [1.0], [2.0], [0.0]])
     backward(loss)
     assert np.array_equal(rows.grad, np.ones((3, 1)))
 
 
 def test_gather_rows_index_bounds():
-    x = Tensor(np.ones((3, 2)))
+    # indices are checked once, when the adjacency is built; each op then
+    # checks only that the row count matches the graph
+    with pytest.raises(GraphStructureError):
+        SparseAdjacency(3, [0, 3], [1, 0])
+    adj = line_graph(3)
+    with pytest.raises(GraphStructureError):
+        gather_rows(Tensor(np.ones((4, 2))), adj, "src")
+    with pytest.raises(ShapeError):
+        scatter_rows(Tensor(np.ones((adj.n_edges + 1, 2))), adj, "dst")
     with pytest.raises(ContractError):
-        gather_rows(x, np.array([0, 3]))
+        gather_rows(Tensor(np.ones((3, 2))), adj, "edge")
 
 
 def test_neighbor_sum_line_graph():
