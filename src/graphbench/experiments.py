@@ -184,18 +184,18 @@ def run_single_cell(spec, arch, value, trial):
     return base
 
 
-def measure_batch_time(config, task, q_noise, seed, n_graphs=100, repeats=3):
-    """Median wall time (ms) for forward+backward over a batch of graphs.
+def batch_timer(config, task, q_noise, seed, n_graphs=100):
+    """A function that times one forward+backward pass over a fixed batch.
 
-    Instances are generated up front; the timed section covers only model
-    compute, which is what distinguishes the architectures.
+    Instances are generated up front; each call returns the wall time (ms)
+    of model compute alone, which is what distinguishes the architectures.
     """
     instance_fn = make_instance_fn(task, q_noise, derive_seed(seed, "timing-data"))
     instances = [instance_fn(derive_seed(seed, "timing", k)) for k in range(n_graphs)]
     model = GraphModel(config, seed=derive_seed(seed, "timing-init"))
     _, n_classes = task_dims(task)
-    repeat_ms = []
-    for _ in range(repeats):
+
+    def run():
         t0 = time.perf_counter()
         for inst in instances:
             with Tape() as tape:
@@ -204,7 +204,15 @@ def measure_batch_time(config, task, q_noise, seed, n_graphs=100, repeats=3):
                 loss = weighted_loss(logits, inst.targets, n_classes)
             model.zero_grads()
             backward(loss)
-        repeat_ms.append((time.perf_counter() - t0) * 1000.0)
+        return (time.perf_counter() - t0) * 1000.0
+
+    return run
+
+
+def measure_batch_time(config, task, q_noise, seed, n_graphs=100, repeats=3):
+    """Median wall time (ms) for forward+backward over a batch of graphs."""
+    run = batch_timer(config, task, q_noise, seed, n_graphs)
+    repeat_ms = [run() for _ in range(repeats)]
     return {"batch_time_ms": float(np.median(repeat_ms)),
             "repeat_ms": repeat_ms, "n_graphs": n_graphs}
 

@@ -14,8 +14,19 @@ variable until then.
 
 Outside a tape, the same operations run forward-only with no recording,
 which is how evaluation passes avoid autodiff overhead.
+
+Gradient arrays are shared, not copied: :func:`backward` may hand one
+array to several tensors (both inputs of an ``add`` get the same ``.grad``)
+and stores an op's output gradient as-is. Treat every ``.grad`` as
+read-only; to change one, rebind it to a new array.
+
+On glibc, importing this module raises malloc's mmap and trim thresholds
+(see :func:`_keep_freed_memory`), so the pages a training step frees are
+reused by the next step instead of being returned to the kernel and
+faulted back in.
 """
 
+import ctypes
 import weakref
 
 import numpy as np
@@ -28,6 +39,36 @@ from .errors import (
     GraphStructureError,
     ShapeError,
 )
+
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 512 << 20
+
+
+def _keep_freed_memory():
+    """Stop glibc from returning a step's freed pages to the kernel.
+
+    Fixing the mmap threshold keeps every step-sized array on the heap,
+    and the high trim threshold keeps the heap from shrinking between
+    steps. The mmap threshold goes first: fixing only the trim threshold
+    turns off glibc's adaptive mmap threshold, so each large array would
+    be mmapped and unmapped on every step. Returns False, changing
+    nothing, where ``mallopt`` is missing or refuses the mmap threshold.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if not mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES):
+        return False
+    return bool(mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES))
+
+
+MALLOC_TUNED = _keep_freed_memory()
 
 
 class Tensor:
@@ -99,9 +140,13 @@ def _result(data, inputs, make_backward):
 def backward(loss):
     """Populate .grad on every requires_grad tensor reachable from loss.
 
-    Gradients accumulate into existing .grad buffers; callers zero them
+    Gradients accumulate onto existing .grad arrays; callers zero them
     between steps. Intermediate flow is kept separate per call, so two
     consecutive backwards double leaf gradients exactly.
+
+    A tensor's first incoming gradient is kept without a copy, so it may
+    be the very array another tensor receives. Only arrays this call
+    allocated (``owned``) are ever summed into in place.
     """
     if loss.data.size != 1:
         raise ContractError("backward requires a scalar loss")
@@ -112,15 +157,19 @@ def backward(loss):
             "'with Tape() as tape:' and keep the tape bound until backward")
     flows = {}
     holders = {}
+    owned = set()
 
     def acc(t, g):
         if not t.requires_grad:
             return
         key = id(t)
-        if key in flows:
+        if key in owned:
             flows[key] += g
+        elif key in flows:
+            flows[key] = flows[key] + g
+            owned.add(key)
         else:
-            flows[key] = np.array(g, dtype=np.float64)
+            flows[key] = g
             holders[key] = t
 
     acc(loss, np.ones_like(loss.data))
@@ -131,10 +180,7 @@ def backward(loss):
         rule(g, acc)
     for key, g in flows.items():
         t = holders[key]
-        if t.grad is None:
-            t.grad = g
-        else:
-            t.grad += g
+        t.grad = g if t.grad is None else t.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +221,6 @@ def add(a, b):
     return _result(a.data + b.data, (a, b), make)
 
 
-def sub(a, b):
-    _check_same_shape(a, b, "sub")
-
-    def make():
-        def rule(g, acc):
-            acc(a, g)
-            acc(b, -g)
-
-        return rule
-
-    return _result(a.data - b.data, (a, b), make)
-
-
 def hadamard(a, b):
     _check_same_shape(a, b, "hadamard")
 
@@ -199,18 +232,6 @@ def hadamard(a, b):
         return rule
 
     return _result(a.data * b.data, (a, b), make)
-
-
-def scale(x, c):
-    c = float(c)
-
-    def make():
-        def rule(g, acc):
-            acc(x, g * c)
-
-        return rule
-
-    return _result(x.data * c, (x,), make)
 
 
 def one_minus(x):
@@ -242,11 +263,16 @@ def bias_add(x, b):
 
 
 def sigmoid(x):
-    data = 1.0 / (1.0 + np.exp(-x.data))
+    data = np.negative(x.data, out=np.empty_like(x.data))
+    np.exp(data, out=data)
+    data += 1.0
+    np.divide(1.0, data, out=data)
 
     def make():
         def rule(g, acc):
-            acc(x, g * data * (1.0 - data))
+            gx = g * data
+            gx *= 1.0 - data
+            acc(x, gx)
 
         return rule
 

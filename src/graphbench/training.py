@@ -85,8 +85,11 @@ class Adam:
             if p.grad is None:
                 continue
             g = p.grad
-            m = self.m.setdefault(name, np.zeros_like(p.data))
-            v = self.v.setdefault(name, np.zeros_like(p.data))
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p.data)
+                self.v[name] = np.zeros_like(p.data)
+            m = self.m[name]
+            v = self.v[name]
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2

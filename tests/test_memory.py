@@ -1,0 +1,68 @@
+"""The training step reuses its memory instead of faulting it back in.
+
+Runs in a fresh interpreter so that no earlier test's allocations shape
+the heap being measured.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import graphbench
+from graphbench import tensor
+
+MAX_FAULTS_PER_ITER = 200
+
+STEADY_STATE_FAULTS = """
+import json, resource
+from graphbench import acceptance, tensor
+from graphbench.models import GraphModel
+from graphbench.seeding import derive_seed
+from graphbench.tensor import Tape, backward
+from graphbench.training import ADAM_DEFAULT_LR, Adam, make_instance_fn, weighted_loss
+
+config = acceptance.timing_configs()["gated_gcn"]
+model = GraphModel(config, seed=1)
+params = model.parameters()
+opt = Adam(ADAM_DEFAULT_LR)
+instance_fn = make_instance_fn("clustering", 0.1, 1)
+insts = [instance_fn(derive_seed(1, "train", it)) for it in range(30)]
+
+
+def step(inst):
+    with Tape() as tape:
+        logits = model.forward(inst.node_features(), inst.graph.adjacency,
+                               training=True)
+        loss = weighted_loss(logits, inst.targets, config.n_classes)
+    model.zero_grads()
+    backward(loss)
+    opt.step(params)
+
+
+for inst in insts[:20]:
+    step(inst)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for inst in insts[20:]:
+    step(inst)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(json.dumps({"tuned": tensor.MALLOC_TUNED,
+                  "faults_per_iter": (after - before) / 10}))
+"""
+
+
+@pytest.mark.skipif(not tensor.MALLOC_TUNED,
+                    reason="glibc mallopt is not available here")
+def test_training_step_does_not_refault_its_memory():
+    # acceptance configuration (gated_gcn, L=6, T=3, 100K params): 20
+    # warm-up iterations, then 10 measured ones
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(graphbench.__file__)))
+    proc = subprocess.run([sys.executable, "-c", STEADY_STATE_FAULTS],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    measured = json.loads(proc.stdout)
+    assert measured["tuned"]
+    assert measured["faults_per_iter"] < MAX_FAULTS_PER_ITER, measured

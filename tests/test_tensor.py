@@ -25,11 +25,9 @@ from graphbench.tensor import (
     neighbor_sum,
     one_minus,
     relu,
-    scale,
     scatter_rows,
     sigmoid,
     softmax_cross_entropy,
-    sub,
     sum_all,
     tanh,
 )
@@ -64,9 +62,7 @@ def test_elementwise_ops_values():
     a = Tensor([[1.0, -2.0]])
     b = Tensor([[0.5, 4.0]])
     assert np.array_equal(add(a, b).data, [[1.5, 2.0]])
-    assert np.array_equal(sub(a, b).data, [[0.5, -6.0]])
     assert np.array_equal(hadamard(a, b).data, [[0.5, -8.0]])
-    assert np.array_equal(scale(a, -2.0).data, [[-2.0, 4.0]])
     assert np.array_equal(one_minus(b).data, [[0.5, -3.0]])
     with pytest.raises(ShapeError):
         add(a, Tensor(np.ones((2, 2))))
@@ -148,10 +144,42 @@ def test_consecutive_backward_doubles_leaf_grads():
     assert np.array_equal(x.grad, 2.0 * first)
 
 
+def test_shared_gradient_arrays_stay_correct():
+    # add hands one gradient array to both inputs, and the first gradient
+    # a tensor receives is kept without a copy, so leaves and intermediates
+    # share arrays; accumulating into one must never change another
+    a = Tensor(np.zeros((2, 3)), requires_grad=True)
+    b = Tensor(np.zeros((2, 3)), requires_grad=True)
+    with Tape() as tape:
+        mid = add(a, b)
+        loss = sum_all(mid)
+    backward(loss)
+    first_mid = mid.grad
+    backward(loss)
+    assert np.array_equal(a.grad, 2.0 * np.ones((2, 3)))
+    assert np.array_equal(b.grad, 2.0 * np.ones((2, 3)))
+    assert np.array_equal(mid.grad, 2.0 * np.ones((2, 3)))
+    assert np.array_equal(first_mid, np.ones((2, 3)))
+
+
+def test_second_gradient_never_written_into_the_first():
+    # the outer add's backward hands mid and a one array; a's second
+    # gradient must not be summed into it, or mid and b would read 2
+    a = Tensor(np.zeros((1, 2)), requires_grad=True)
+    b = Tensor(np.zeros((1, 2)), requires_grad=True)
+    with Tape() as tape:
+        mid = add(a, b)
+        loss = sum_all(add(mid, a))
+    backward(loss)
+    assert np.array_equal(mid.grad, np.ones((1, 2)))
+    assert np.array_equal(a.grad, 2.0 * np.ones((1, 2)))
+    assert np.array_equal(b.grad, np.ones((1, 2)))
+
+
 def test_intermediate_tensors_receive_grads():
     x = Tensor([[1.0, 2.0]], requires_grad=True)
     with Tape() as tape:
-        mid = scale(x, 3.0)
+        mid = hadamard(x, Tensor([[3.0, 3.0]]))
         loss = sum_all(mid)
     backward(loss)
     assert np.array_equal(mid.grad, np.ones((1, 2)))
@@ -234,7 +262,7 @@ def test_gated_neighbor_sum_gate_shape_checked():
 def test_sum_all_grad_is_ones():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     with Tape() as tape:
-        loss = scale(sum_all(x), 2.0)
+        loss = hadamard(sum_all(x), Tensor(2.0))
     assert loss.item() == 30.0
     backward(loss)
     assert np.array_equal(x.grad, 2.0 * np.ones((2, 3)))
