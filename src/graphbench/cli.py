@@ -227,6 +227,3 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -199,8 +199,7 @@ def batch_timer(config, task, q_noise, seed, n_graphs=100):
         t0 = time.perf_counter()
         for inst in instances:
             with Tape() as tape:
-                logits = model.forward(inst.node_features(),
-                                       inst.graph.adjacency, training=True)
+                logits = model.forward(inst.node_features(), inst.graph.adjacency)
                 loss = weighted_loss(logits, inst.targets, n_classes)
             model.zero_grads()
             backward(loss)

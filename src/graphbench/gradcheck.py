@@ -168,21 +168,8 @@ def op_checks(seed=0):
     beta = _param(rng, 4)
     projb = Tensor(rng.normal(size=(7, 4)))
 
-    def bn_train():
-        return _scalarize(batch_norm(bx, gamma, beta, np.zeros(4), np.ones(4),
-                                     training=True), projb)
-
-    checks.append(("batch_norm_train", bn_train,
-                   [("x", bx), ("gamma", gamma), ("beta", beta)]))
-
-    run_mean = rng.normal(size=4)
-    run_var = rng.uniform(0.5, 2.0, size=4)
-
-    def bn_eval():
-        return _scalarize(batch_norm(bx, gamma, beta, run_mean.copy(),
-                                     run_var.copy(), training=False), projb)
-
-    checks.append(("batch_norm_eval", bn_eval,
+    checks.append(("batch_norm",
+                   lambda: _scalarize(batch_norm(bx, gamma, beta), projb),
                    [("x", bx), ("gamma", gamma), ("beta", beta)]))
 
     logits = _param(rng, 8, 3)
@@ -212,7 +199,7 @@ def layer_checks(seed=0, hidden=4, inner_steps=2):
         wrt = [("x", x)] + layer.named_tensors()
 
         def forward(layer=layer, x=x, proj=proj):
-            return _scalarize(layer(x, adj, "train"), proj)
+            return _scalarize(layer(x, adj), proj)
 
         checks.append((f"layer_{arch}", forward, wrt))
     return checks
@@ -229,7 +216,7 @@ def model_checks(seed=0):
     targets = rng.integers(0, 3, size=graph.n_nodes)
 
     def forward():
-        logits = model.forward(feats, graph.adjacency, training=True)
+        logits = model.forward(feats, graph.adjacency)
         return weighted_loss(logits, targets, 3)
 
     return [("model_gated_gcn_loss", forward, model.named_tensors())]

@@ -18,6 +18,7 @@ are added once per node after aggregation, which keeps gated_gcn with all
 gates forced to one bit-for-bit equal to commnet.
 """
 
+import functools
 import json
 from dataclasses import asdict, dataclass
 
@@ -45,17 +46,6 @@ from .tensor import (
 RECURRENT_ARCHITECTURES = ("vrnn", "ggnn", "glstm")
 CONV_ARCHITECTURES = ("commnet", "edge_gcn", "gated_gcn")
 ARCHITECTURES = RECURRENT_ARCHITECTURES + CONV_ARCHITECTURES
-
-# weight-matrix count per layer, used by the closed-form parameter count
-_LINEARS_PER_LAYER = {
-    "vrnn": 4,
-    "ggnn": 6,
-    "glstm": 8,
-    "commnet": 2,
-    "edge_gcn": 3,
-    "gated_gcn": 4,
-}
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -99,43 +89,23 @@ class Linear:
     def named_tensors(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
-    def named_buffers(self):
-        return []
-
 
 class BatchNorm:
     """Per-feature normalization over the nodes of the current graph.
 
-    Modes: "train" normalizes with the graph's own statistics and updates
-    the running buffers; "batch" normalizes the same way without touching
-    the buffers (the evaluation default, since the batch is the graph
-    itself); "running" normalizes with the stored running statistics.
+    Training and evaluation both use the graph's own statistics, so the
+    learned affine is the only state.
     """
 
     def __init__(self, dim):
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
 
-    def __call__(self, x, mode):
-        if mode == "train":
-            return batch_norm(x, self.gamma, self.beta,
-                              self.running_mean, self.running_var, training=True)
-        if mode == "batch":
-            return batch_norm(x, self.gamma, self.beta,
-                              self.running_mean, self.running_var, training=True,
-                              update_running=False)
-        if mode == "running":
-            return batch_norm(x, self.gamma, self.beta,
-                              self.running_mean, self.running_var, training=False)
-        raise ContractError(f"unknown norm mode {mode!r}")
+    def __call__(self, x):
+        return batch_norm(x, self.gamma, self.beta)
 
     def named_tensors(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
-
-    def named_buffers(self):
-        return [("running_mean", self.running_mean), ("running_var", self.running_var)]
 
 
 def edge_gates(h, adj, gate_center, gate_neighbor):
@@ -155,12 +125,6 @@ class _Layer:
         out = []
         for name, mod in self._modules:
             out.extend((f"{name}.{k}", t) for k, t in mod.named_tensors())
-        return out
-
-    def named_buffers(self):
-        out = []
-        for name, mod in self._modules:
-            out.extend((f"{name}.{k}", b) for k, b in mod.named_buffers())
         return out
 
 
@@ -186,7 +150,7 @@ class VrnnLayer(_Layer):
         if self.norm:
             self._modules.append(("norm", self.norm))
 
-    def __call__(self, x, adj, mode):
+    def __call__(self, x, adj):
         n = x.data.shape[0]
         ux = self.input_map(x)
         ux_dst = gather_rows(ux, adj, "dst")
@@ -197,7 +161,7 @@ class VrnnLayer(_Layer):
             per_edge = self.out_map(sigmoid(self.mid_map(inner)))
             h = scatter_rows(per_edge, adj, "dst")
             if self.norm:
-                h = self.norm(h, mode)
+                h = self.norm(h)
         return h
 
 
@@ -222,12 +186,12 @@ class GgnnLayer(_Layer):
         if self.norm:
             self._modules.append(("norm", self.norm))
 
-    def __call__(self, x, adj, mode):
+    def __call__(self, x, adj):
         h = x
         for _ in range(self.inner_steps):
             agg = neighbor_sum(h, adj)
             if self.norm:
-                agg = self.norm(agg, mode)
+                agg = self.norm(agg)
             z = sigmoid(add(self.update_in(h), self.update_nb(agg)))
             r = sigmoid(add(self.reset_in(h), self.reset_nb(agg)))
             cand = tanh(add(self.cand_in(hadamard(h, r)), self.cand_nb(agg)))
@@ -264,7 +228,7 @@ class GlstmLayer(_Layer):
         if self.norm:
             self._modules.append(("norm", self.norm))
 
-    def __call__(self, x, adj, mode):
+    def __call__(self, x, adj):
         n = x.data.shape[0]
         ui = self.in_gate_in(x)
         uo = self.out_gate_in(x)
@@ -275,7 +239,7 @@ class GlstmLayer(_Layer):
         for _ in range(self.inner_steps):
             agg = neighbor_sum(h, adj)
             if self.norm:
-                agg = self.norm(agg, mode)
+                agg = self.norm(agg)
             gate_in = sigmoid(add(ui, self.in_gate_nb(agg)))
             gate_out = sigmoid(add(uo, self.out_gate_nb(agg)))
             cand = tanh(add(uc, self.cell_nb(agg)))
@@ -320,7 +284,7 @@ class ConvLayer(_Layer):
         if self.norm:
             self._modules.append(("norm", self.norm))
 
-    def __call__(self, h, adj, mode, gates=None):
+    def __call__(self, h, adj, gates=None):
         if self.gated:
             if gates is None:
                 gates = edge_gates(h, adj, self.gate_center, self.gate_neighbor)
@@ -333,7 +297,7 @@ class ConvLayer(_Layer):
         if self.centered:
             pre = add(self.center(h), pre)
         if self.norm:
-            pre = self.norm(pre, mode)
+            pre = self.norm(pre)
         return relu(pre)
 
 
@@ -345,12 +309,6 @@ def make_layer(arch, rng, hidden_dim, inner_steps, use_norm):
     if arch in CONV_ARCHITECTURES:
         return ConvLayer(rng, hidden_dim, use_norm, arch=arch)
     return _RECURRENT_LAYERS[arch](rng, hidden_dim, inner_steps, use_norm)
-
-
-def _norm_mode(training, use_running_stats):
-    if training:
-        return "train"
-    return "running" if use_running_stats else "batch"
 
 
 class GraphModel:
@@ -366,20 +324,15 @@ class GraphModel:
                        for _ in range(config.n_layers)]
         self.readout = Linear(rng, h, config.n_classes)
 
-    def forward(self, features, adj: SparseAdjacency, training: bool,
-                use_running_stats=False):
+    def forward(self, features, adj: SparseAdjacency, training=None):
         """features: ndarray n x input_dim. Returns logit Tensor n x n_classes.
 
-        training=True normalizes with graph statistics and updates running
-        buffers. training=False also normalizes with graph statistics (the
-        batch is the graph) but leaves buffers alone; pass
-        use_running_stats=True to normalize with the stored running
-        statistics instead.
+        The pass is the same in training and evaluation and leaves the model
+        unchanged; ``training`` is accepted and ignored.
         """
-        mode = _norm_mode(training, use_running_stats)
         h = self.embed(Tensor(np.asarray(features, dtype=np.float64)))
         for layer in self.layers:
-            out = layer(h, adj, mode)
+            out = layer(h, adj)
             h = residual_wrap(out, h) if self.config.residual else out
         return self.readout(h)
 
@@ -389,12 +342,6 @@ class GraphModel:
             out.extend((f"layers.{i}.{k}", t) for k, t in layer.named_tensors())
         out.extend([("readout.weight", self.readout.weight),
                     ("readout.bias", self.readout.bias)])
-        return out
-
-    def named_buffers(self):
-        out = []
-        for i, layer in enumerate(self.layers):
-            out.extend((f"layers.{i}.{k}", b) for k, b in layer.named_buffers())
         return out
 
     def parameters(self):
@@ -409,32 +356,45 @@ class GraphModel:
 
     def save(self, path):
         arrays = {f"param:{k}": t.data for k, t in self.named_tensors()}
-        arrays.update({f"buffer:{k}": b for k, b in self.named_buffers()})
         np.savez(path, __config__=np.array(self.config.to_json()), **arrays)
 
     @classmethod
     def load(cls, path):
+        """Rebuild a saved model; every parameter must be present with its shape."""
         with np.load(path, allow_pickle=False) as blob:
             config = ModelConfig.from_json(str(blob["__config__"]))
             model = cls(config, seed=0)
-            params = dict(model.named_tensors())
-            buffers = dict(model.named_buffers())
-            for key in blob.files:
-                if key.startswith("param:"):
-                    params[key[6:]].data = blob[key].astype(np.float64)
-                elif key.startswith("buffer:"):
-                    buf = buffers[key[7:]]
-                    buf[...] = blob[key]
+            params = model.parameters()
+            keys = set(blob.files) - {"__config__"}
+            expected = {f"param:{k}" for k in params}
+            if keys != expected:
+                old = (" (buffer: entries are batch-norm running statistics, "
+                       "which this format no longer has)"
+                       if any(k.startswith("buffer:") for k in keys) else "")
+                raise ContractError(
+                    f"{path}: checkpoint does not match a {config.arch} model: "
+                    f"missing {sorted(expected - keys)}, "
+                    f"unexpected {sorted(keys - expected)}{old}")
+            for name, t in params.items():
+                data = blob[f"param:{name}"]
+                if data.shape != t.data.shape:
+                    raise ContractError(f"{path}: {name} has shape {data.shape}, "
+                                        f"expected {t.data.shape}")
+                t.data = data.astype(np.float64)
         return model
+
+
+@functools.cache
+def _layer_tensor_ranks(arch, use_norm):
+    """Rank of each tensor of one ``arch`` layer; at width h, rank r holds h**r scalars."""
+    layer = make_layer(arch, np.random.default_rng(0), 1, 1, use_norm)
+    return tuple(t.data.ndim for _, t in layer.named_tensors())
 
 
 def count_params(config: ModelConfig):
     """Exact learnable-scalar count: weights, biases, and norm affine terms."""
     h = config.hidden_dim
-    per_linear = h * h + h
-    per_layer = _LINEARS_PER_LAYER[config.arch] * per_linear
-    if config.use_norm:
-        per_layer += 2 * h
+    per_layer = sum(h ** r for r in _layer_tensor_ranks(config.arch, config.use_norm))
     embed = config.input_dim * h + h
     readout = h * config.n_classes + config.n_classes
     return embed + config.n_layers * per_layer + readout

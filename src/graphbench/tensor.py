@@ -87,9 +87,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -402,35 +399,24 @@ def gated_neighbor_sum(h, gates, adj):
 # batch normalization over the node dimension
 # ---------------------------------------------------------------------------
 
+BATCH_NORM_EPS = 1e-5
 
-def batch_norm(x, gamma, beta, running_mean, running_var, training,
-               momentum=0.1, eps=1e-5, update_running=None):
+
+def batch_norm(x, gamma, beta):
     """Normalize each feature column over nodes, then apply a learned affine.
 
-    Training mode uses the current graph's statistics and updates the
-    running buffers in place (momentum 0.1) unless ``update_running`` is
-    set to False; inference mode reads the running buffers. The batch is
-    the node set of one graph.
+    The batch is the node set of one graph: every call, in training and in
+    evaluation alike, uses that graph's own mean and variance, so there is
+    no stored state.
     """
     if x.data.ndim != 2:
         raise ShapeError("batch_norm expects a 2-d tensor")
     n = x.data.shape[0]
-    if update_running is None:
-        update_running = training
-    if training:
-        if n < 2:
-            raise DegenerateBatchError("batch norm needs at least 2 nodes in training mode")
-        mean = x.data.mean(axis=0)
-        var = x.data.var(axis=0)
-        if update_running:
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mean
-            running_var *= 1.0 - momentum
-            running_var += momentum * var
-    else:
-        mean = running_mean
-        var = running_var
-    inv_std = 1.0 / np.sqrt(var + eps)
+    if n < 2:
+        raise DegenerateBatchError("batch norm needs at least 2 nodes")
+    mean = x.data.mean(axis=0)
+    var = x.data.var(axis=0)
+    inv_std = 1.0 / np.sqrt(var + BATCH_NORM_EPS)
     xhat = (x.data - mean) * inv_std
     data = xhat * gamma.data + beta.data
 
@@ -439,12 +425,9 @@ def batch_norm(x, gamma, beta, running_mean, running_var, training,
             acc(gamma, (g * xhat).sum(axis=0))
             acc(beta, g.sum(axis=0))
             gx = g * gamma.data
-            if training:
-                acc(x, inv_std / n * (
-                    n * gx - gx.sum(axis=0) - xhat * (gx * xhat).sum(axis=0)
-                ))
-            else:
-                acc(x, gx * inv_std)
+            acc(x, inv_std / n * (
+                n * gx - gx.sum(axis=0) - xhat * (gx * xhat).sum(axis=0)
+            ))
 
         return rule
 

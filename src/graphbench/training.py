@@ -179,11 +179,10 @@ def make_instance_fn(task, q_noise, run_seed):
 
 
 def evaluate(model, instances):
-    """Inference-mode accuracy per instance; returns (mean, per-instance list)."""
+    """Accuracy per instance; returns (mean, per-instance list)."""
     accs = []
     for inst in instances:
-        logits = model.forward(inst.node_features(), inst.graph.adjacency,
-                               training=False)
+        logits = model.forward(inst.node_features(), inst.graph.adjacency)
         accs.append(accuracy(logits.data, inst.targets))
     return float(np.mean(accs)), accs
 
@@ -298,8 +297,7 @@ def train(config: ModelConfig, settings: TrainSettings):
         inst = instance_fn(derive_seed(run_seed, "train", it))
         # rebinding tape each iteration releases the previous graph
         with Tape() as tape:
-            logits = model.forward(inst.node_features(), inst.graph.adjacency,
-                                   training=True)
+            logits = model.forward(inst.node_features(), inst.graph.adjacency)
             loss = weighted_loss(logits, inst.targets, n_classes)
         loss_val = loss.item()
         if not np.isfinite(loss_val):

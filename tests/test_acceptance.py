@@ -89,8 +89,8 @@ def test_criterion_02_sparse_aggregation_is_exact():
         assert np.array_equal(gated_neighbor_sum(h_int, ones, adj).data, agg.data)
         # unit gates collapse the gated layer onto the plain one bit-for-bit
         h = Tensor(rng.normal(size=(graph.n_nodes, 8)))
-        out_gated = gated(h, adj, "batch", gates=ones)
-        out_plain = plain(h, adj, "batch")
+        out_gated = gated(h, adj, gates=ones)
+        out_plain = plain(h, adj)
         assert np.array_equal(out_gated.data, out_plain.data)
         assert graph.n_nodes <= 20
         checked += 1
@@ -116,8 +116,8 @@ def test_criterion_03_permutation_equivariance():
             new_pairs = np.sort(np.column_stack((pos[pairs[:, 0]],
                                                  pos[pairs[:, 1]])), axis=1)
             adj_p = SparseAdjacency.from_undirected(graph.n_nodes, new_pairs)
-            base = model.forward(feats, graph.adjacency, training=False).data
-            permuted = model.forward(feats[perm], adj_p, training=False).data
+            base = model.forward(feats, graph.adjacency).data
+            permuted = model.forward(feats[perm], adj_p).data
             worst = max(worst, float(np.abs(permuted - base[perm]).max()))
     _verdict(3, worst < 1e-10,
              f"all {len(ARCHITECTURES)} architectures, max deviation "

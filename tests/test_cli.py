@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import graphbench
 from graphbench.cli import main
 from graphbench.generators import load_graph, load_instance
 from graphbench.models import ModelConfig, count_params
@@ -96,6 +100,17 @@ def test_dirichlet_cli(tmp_path, capsys):
 
 def test_gradcheck_cli_passes():
     assert main(["gradcheck"]) == 0
+
+
+def test_module_entry_point_runs():
+    # the package directory's parent goes on the path, as an install would put it
+    src = os.path.dirname(os.path.dirname(graphbench.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "graphbench", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "gradcheck" in proc.stdout
 
 
 def test_bad_architecture_is_reported(tmp_path, capsys):

@@ -34,8 +34,7 @@ insts = [instance_fn(derive_seed(1, "train", it)) for it in range(30)]
 
 def step(inst):
     with Tape() as tape:
-        logits = model.forward(inst.node_features(), inst.graph.adjacency,
-                               training=True)
+        logits = model.forward(inst.node_features(), inst.graph.adjacency)
         loss = weighted_loss(logits, inst.targets, config.n_classes)
     model.zero_grads()
     backward(loss)

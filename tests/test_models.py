@@ -1,3 +1,5 @@
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from graphbench.models import (
     residual_wrap,
     solve_hidden_for_budget,
 )
-from graphbench.tensor import Tensor
+from graphbench.tensor import Tape, Tensor, backward
+from graphbench.training import weighted_loss
 
 
 def small_graph(seed=0):
@@ -91,8 +94,8 @@ def test_permutation_equivariance_all_architectures():
     adj_p, feats_p = permute_instance(graph, feats, perm)
     for arch in ARCHITECTURES:
         model = GraphModel(config_for(arch), seed=4)
-        base = model.forward(feats, graph.adjacency, training=False).data
-        permuted = model.forward(feats_p, adj_p, training=False).data
+        base = model.forward(feats, graph.adjacency).data
+        permuted = model.forward(feats_p, adj_p).data
         assert np.abs(permuted - base[perm]).max() < 1e-10, arch
 
 
@@ -111,8 +114,8 @@ def test_unit_gates_reduce_gated_to_commnet_bitwise():
     graph = small_graph(3)
     h = Tensor(np.random.default_rng(9).normal(size=(graph.n_nodes, 6)))
     ones = Tensor(np.ones((graph.adjacency.n_edges, 6)))
-    out_gated = gated(h, graph.adjacency, "batch", gates=ones)
-    out_plain = plain(h, graph.adjacency, "batch")
+    out_gated = gated(h, graph.adjacency, gates=ones)
+    out_plain = plain(h, graph.adjacency)
     assert np.array_equal(out_gated.data, out_plain.data)
 
 
@@ -123,7 +126,7 @@ def test_ggnn_zero_weights_halves_state_each_step():
     for _, t in layer.named_tensors():
         t.data[...] = 0.0
     x = Tensor(np.random.default_rng(1).normal(size=(graph.n_nodes, 4)))
-    out = layer(x, graph.adjacency, "batch")
+    out = layer(x, graph.adjacency)
     assert np.allclose(out.data, 0.125 * x.data)
 
 
@@ -133,7 +136,7 @@ def test_glstm_zero_weights_gives_zero_output():
     for _, t in layer.named_tensors():
         t.data[...] = 0.0
     x = Tensor(np.random.default_rng(1).normal(size=(graph.n_nodes, 4)))
-    out = layer(x, graph.adjacency, "batch")
+    out = layer(x, graph.adjacency)
     assert np.array_equal(out.data, np.zeros_like(x.data))
 
 
@@ -143,7 +146,7 @@ def test_commnet_zero_weights_yields_bias_rows():
     layer.center.weight.data[...] = 0.0
     layer.neighbor.weight.data[...] = 0.0
     x = Tensor(np.random.default_rng(1).normal(size=(graph.n_nodes, 4)))
-    out = layer(x, graph.adjacency, "batch")
+    out = layer(x, graph.adjacency)
     expect = np.maximum(layer.center.bias.data + layer.neighbor.bias.data, 0.0)
     assert np.allclose(out.data, np.tile(expect, (graph.n_nodes, 1)))
 
@@ -154,7 +157,7 @@ def test_vrnn_zero_output_map_is_silent():
     layer.out_map.weight.data[...] = 0.0
     layer.out_map.bias.data[...] = 0.0
     x = Tensor(np.random.default_rng(1).normal(size=(graph.n_nodes, 4)))
-    out = layer(x, graph.adjacency, "batch")
+    out = layer(x, graph.adjacency)
     assert np.array_equal(out.data, np.zeros_like(x.data))
 
 
@@ -171,7 +174,7 @@ def test_residual_wrap_and_model_flag():
         for i in range(cfg.n_layers):
             for _, t in model.layers[i].named_tensors():
                 t.data[...] = 0.0  # silent layers: output relu(0) = 0
-        got = model.forward(feats, graph.adjacency, training=False).data
+        got = model.forward(feats, graph.adjacency).data
         h = model.embed(Tensor(feats)).data
         if residual:
             expect = h @ model.readout.weight.data + model.readout.bias.data
@@ -194,8 +197,6 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     for arch in ("gated_gcn", "glstm"):
         cfg = config_for(arch)
         model = GraphModel(cfg, seed=7)
-        # make running buffers non-trivial before saving
-        model.forward(feats, graph.adjacency, training=True)
         path = tmp_path / f"{arch}.npz"
         model.save(path)
         loaded = GraphModel.load(path)
@@ -203,14 +204,54 @@ def test_checkpoint_roundtrip_exact(tmp_path):
         for (name, ta), (_, tb) in zip(model.named_tensors(),
                                        loaded.named_tensors()):
             assert np.array_equal(ta.data, tb.data), name
-        for (name, ba), (_, bb) in zip(model.named_buffers(),
-                                       loaded.named_buffers()):
-            assert np.array_equal(ba, bb), name
-        a = model.forward(feats, graph.adjacency, training=False,
-                          use_running_stats=True).data
-        b = loaded.forward(feats, graph.adjacency, training=False,
-                           use_running_stats=True).data
+        a = model.forward(feats, graph.adjacency).data
+        b = loaded.forward(feats, graph.adjacency).data
         assert np.array_equal(a, b)
+
+
+def _saved_members(path):
+    # member bytes, not file bytes: zip headers carry the write time
+    with zipfile.ZipFile(path) as zf:
+        return {name: zf.read(name) for name in zf.namelist()}
+
+
+def test_forward_and_backward_leave_model_unchanged(tmp_path):
+    graph = small_graph(9)
+    feats = np.random.default_rng(3).normal(size=(graph.n_nodes, 5))
+    targets = np.arange(graph.n_nodes) % 3
+    for arch in ARCHITECTURES:
+        model = GraphModel(config_for(arch), seed=7)
+        model.save(tmp_path / "before.npz")
+        with Tape() as tape:
+            loss = weighted_loss(model.forward(feats, graph.adjacency), targets, 3)
+        backward(loss)
+        model.save(tmp_path / "after.npz")
+        assert (_saved_members(tmp_path / "before.npz")
+                == _saved_members(tmp_path / "after.npz")), arch
+
+
+def test_load_refuses_mismatched_checkpoint(tmp_path):
+    model = GraphModel(config_for("gated_gcn"), seed=7)
+    model.save(tmp_path / "good.npz")
+    with np.load(tmp_path / "good.npz") as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    norm = "layers.0.norm.gamma"
+
+    def write(name, **changes):
+        edited = {**arrays, **changes}
+        edited = {k: v for k, v in edited.items() if v is not None}
+        np.savez(tmp_path / name, **edited)
+        return tmp_path / name
+
+    with pytest.raises(ContractError, match="missing"):
+        GraphModel.load(write("missing.npz", **{f"param:{norm}": None}))
+    with pytest.raises(ContractError, match="unexpected"):
+        GraphModel.load(write("extra.npz", **{"param:layers.9.norm.gamma": np.ones(6)}))
+    with pytest.raises(ContractError, match="running statistics"):
+        GraphModel.load(write("old.npz",
+                              **{"buffer:layers.0.norm.running_mean": np.zeros(6)}))
+    with pytest.raises(ContractError, match="shape"):
+        GraphModel.load(write("shape.npz", **{f"param:{norm}": np.ones(7)}))
 
 
 def test_recurrent_layers_run_inner_steps():
@@ -219,6 +260,6 @@ def test_recurrent_layers_run_inner_steps():
     x = Tensor(np.random.default_rng(4).normal(size=(graph.n_nodes, 4)))
     one = GgnnLayer(np.random.default_rng(5), 4, inner_steps=1, use_norm=False)
     three = GgnnLayer(np.random.default_rng(5), 4, inner_steps=3, use_norm=False)
-    a = one(x, graph.adjacency, "batch").data
-    b = three(x, graph.adjacency, "batch").data
+    a = one(x, graph.adjacency).data
+    b = three(x, graph.adjacency).data
     assert not np.allclose(a, b)

@@ -273,7 +273,7 @@ def test_batch_norm_normalizes_columns():
     x = Tensor(rng.normal(2.0, 3.0, size=(50, 4)))
     gamma = Tensor(np.ones(4))
     beta = Tensor(np.zeros(4))
-    out = batch_norm(x, gamma, beta, np.zeros(4), np.ones(4), training=True)
+    out = batch_norm(x, gamma, beta)
     assert np.abs(out.data.mean(axis=0)).max() < 1e-6
     assert np.abs(out.data.var(axis=0) - 1.0).max() < 1e-5  # eps shifts it slightly
 
@@ -282,25 +282,8 @@ def test_batch_norm_constant_column_zeroed():
     x = Tensor(np.full((10, 2), 7.0))
     gamma = Tensor(np.ones(2))
     beta = Tensor(np.array([0.5, -0.5]))
-    out = batch_norm(x, gamma, beta, np.zeros(2), np.ones(2), training=True)
+    out = batch_norm(x, gamma, beta)
     assert np.allclose(out.data, np.tile([0.5, -0.5], (10, 1)))
-
-
-def test_batch_norm_running_stats_update_and_inference():
-    x = Tensor(np.array([[0.0], [2.0]]))
-    gamma = Tensor(np.ones(1))
-    beta = Tensor(np.zeros(1))
-    rm = np.zeros(1)
-    rv = np.ones(1)
-    batch_norm(x, gamma, beta, rm, rv, training=True)
-    assert np.allclose(rm, [0.1])       # 0.9*0 + 0.1*1
-    assert np.allclose(rv, [1.0])       # 0.9*1 + 0.1*1
-    # update_running=False leaves the buffers alone
-    batch_norm(x, gamma, beta, rm, rv, training=True, update_running=False)
-    assert np.allclose(rm, [0.1])
-    out = batch_norm(x, gamma, beta, rm, rv, training=False)
-    expect = (x.data - 0.1) / np.sqrt(1.0 + 1e-5)
-    assert np.allclose(out.data, expect)
 
 
 def test_batch_norm_degenerate_batch():
@@ -308,7 +291,7 @@ def test_batch_norm_degenerate_batch():
     gamma = Tensor(np.ones(3))
     beta = Tensor(np.zeros(3))
     with pytest.raises(DegenerateBatchError):
-        batch_norm(x, gamma, beta, np.zeros(3), np.ones(3), training=True)
+        batch_norm(x, gamma, beta)
 
 
 def test_softmax_cross_entropy_uniform_logits():

@@ -233,8 +233,7 @@ def test_overfitting_one_instance_drops_the_loss():
     first = None
     for _ in range(60):
         with Tape() as tape:
-            logits = model.forward(inst.node_features(), inst.graph.adjacency,
-                                   training=True)
+            logits = model.forward(inst.node_features(), inst.graph.adjacency)
             loss = weighted_loss(logits, inst.targets, 10)
         if first is None:
             first = loss.item()
