@@ -57,7 +57,6 @@ from .models import (
     Linear,
     ModelConfig,
     count_params,
-    edge_gates,
     residual_wrap,
     solve_hidden_for_budget,
 )

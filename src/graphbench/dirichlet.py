@@ -108,16 +108,8 @@ def dirichlet_assign(graph, seed_mask, seed_labels, n_classes, tol=CG_TOL):
         raise ContractError("seed labels out of range")
 
     lap = build_laplacian(graph)
-    pairs = graph.adjacency.undirected_pairs()
-    if pairs.size:
-        adj = sp.csr_matrix(
-            (np.ones(2 * len(pairs)),
-             (np.concatenate([pairs[:, 0], pairs[:, 1]]),
-              np.concatenate([pairs[:, 1], pairs[:, 0]]))),
-            shape=(n, n))
-    else:
-        adj = sp.csr_matrix((n, n))
-    _, component = connected_components(adj, directed=False)
+    # L's off-diagonal pattern is the adjacency; its diagonal only adds self-loops
+    _, component = connected_components(lap, directed=False)
 
     seeded_components = np.unique(component[seed_mask])
     reachable = np.isin(component, seeded_components)

@@ -23,6 +23,7 @@ from .tensor import (
     backward,
     batch_norm,
     bias_add,
+    gated_aggregate,
     gather_rows,
     gated_neighbor_sum,
     hadamard,
@@ -162,6 +163,13 @@ def op_checks(seed=0):
     checks.append(("gated_neighbor_sum",
                    lambda: _scalarize(gated_neighbor_sum(h, gates, adj), projn),
                    [("h", h), ("gates", gates)]))
+    center = _param(rng, small.n_edges, 4)
+    neighbor = _param(rng, 6, 4)
+    values = _param(rng, 6, 4)
+    checks.append(("gated_aggregate",
+                   lambda: _scalarize(gated_aggregate(center, neighbor, values, small),
+                                      proj5),
+                   [("center", center), ("neighbor", neighbor), ("values", values)]))
 
     bx = _param(rng, 7, 4)
     gamma = Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True)

@@ -13,9 +13,11 @@ single-pass convolutions, all served by one class, ``ConvLayer``.
     edge_gcn   ReLU(sum_j eta_ij * V h_j)
     gated_gcn  ReLU(U h_i + sum_j eta_ij * V h_j)
 
-with edge gates eta_ij = sigmoid(A h_i + B h_j). Neighbor-transform biases
-are added once per node after aggregation, which keeps gated_gcn with all
-gates forced to one bit-for-bit equal to commnet.
+with edge gates eta_ij = sigmoid(A h_i + B h_j). The gates and the sum they
+weight are one tape op, ``gated_aggregate``, which also computes glstm's
+forget gates. Neighbor-transform biases are added once per node after
+aggregation, which keeps gated_gcn with all gates forced to one
+bit-for-bit equal to commnet.
 """
 
 import functools
@@ -31,6 +33,7 @@ from .tensor import (
     add,
     batch_norm,
     bias_add,
+    gated_aggregate,
     gather_rows,
     gated_neighbor_sum,
     hadamard,
@@ -106,13 +109,6 @@ class BatchNorm:
 
     def named_tensors(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
-
-
-def edge_gates(h, adj, gate_center, gate_neighbor):
-    """Per-edge gate vectors eta_e = sigmoid(A h_dst + B h_src), one row per directed edge."""
-    ah = gate_center(h)
-    bh = gate_neighbor(h)
-    return sigmoid(add(gather_rows(ah, adj, "dst"), gather_rows(bh, adj, "src")))
 
 
 def residual_wrap(layer_output, layer_input):
@@ -204,7 +200,8 @@ class GlstmLayer(_Layer):
 
     h and c start at zero each layer; the layer input x feeds every gate at
     every step. Cell mixing uses the neighbors' previous-step cells, so the
-    whole node set updates simultaneously.
+    whole node set updates simultaneously: the forget gate of edge j -> i is
+    sigmoid(forget_in(x)_i + forget_nb(h)_j) and weights c_j.
     """
 
     arch = "glstm"
@@ -243,8 +240,8 @@ class GlstmLayer(_Layer):
             gate_in = sigmoid(add(ui, self.in_gate_nb(agg)))
             gate_out = sigmoid(add(uo, self.out_gate_nb(agg)))
             cand = tanh(add(uc, self.cell_nb(agg)))
-            forget = sigmoid(add(uf_dst, gather_rows(self.forget_nb(h), adj, "src")))
-            c = add(hadamard(gate_in, cand), gated_neighbor_sum(c, forget, adj))
+            forget_nb = self.forget_nb(h)
+            c = add(hadamard(gate_in, cand), gated_aggregate(uf_dst, forget_nb, c, adj))
             h = hadamard(gate_out, tanh(c))
         return h
 
@@ -254,7 +251,8 @@ class ConvLayer(_Layer):
 
     gated_gcn keeps both terms; commnet drops the edge gates and aggregates
     with the plain neighbor sum; edge_gcn drops the center term U h_i.
-    Gates are computed from this layer's input unless ``gates`` is passed.
+    Gates are computed from this layer's input, fused with the sum they
+    weight, unless ``gates`` (one row per edge) is passed.
     The class-level ``arch`` is the default variant; each instance sets its
     own.
     """
@@ -285,14 +283,18 @@ class ConvLayer(_Layer):
             self._modules.append(("norm", self.norm))
 
     def __call__(self, h, adj, gates=None):
-        if self.gated:
-            if gates is None:
-                gates = edge_gates(h, adj, self.gate_center, self.gate_neighbor)
-            agg = gated_neighbor_sum(matmul(h, self.neighbor.weight), gates, adj)
-        elif gates is not None:
-            raise ContractError("commnet has no edge gates")
-        else:
+        if not self.gated:
+            if gates is not None:
+                raise ContractError("commnet has no edge gates")
             agg = neighbor_sum(matmul(h, self.neighbor.weight), adj)
+        elif gates is None:
+            # gate_center, gate_neighbor, then the neighbor map: backward
+            # sums h's gradients in the reverse of this order
+            center = gather_rows(self.gate_center(h), adj, "dst")
+            neighbor = self.gate_neighbor(h)
+            agg = gated_aggregate(center, neighbor, matmul(h, self.neighbor.weight), adj)
+        else:
+            agg = gated_neighbor_sum(matmul(h, self.neighbor.weight), gates, adj)
         pre = bias_add(agg, self.neighbor.bias)
         if self.centered:
             pre = add(self.center(h), pre)

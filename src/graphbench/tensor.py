@@ -259,11 +259,16 @@ def bias_add(x, b):
     return _result(x.data + b.data, (x, b), make)
 
 
+def _logistic(z, out):
+    """out = 1 / (1 + exp(-z)), computed in out (which may be z itself)."""
+    np.negative(z, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
 def sigmoid(x):
-    data = np.negative(x.data, out=np.empty_like(x.data))
-    np.exp(data, out=data)
-    data += 1.0
-    np.divide(1.0, data, out=data)
+    data = _logistic(x.data, np.empty_like(x.data))
 
     def make():
         def rule(g, acc):
@@ -393,6 +398,46 @@ def gated_neighbor_sum(h, gates, adj):
         return rule
 
     return _result(data, (h, gates), make)
+
+
+def gated_aggregate(center, neighbor, values, adj):
+    """Row i = sum over in-edges e = (j -> i) of sigmoid(center_e + neighbor_j) * values_j.
+
+    ``center`` has one row per edge; ``neighbor`` and ``values`` have one
+    row per node. The result and gradients are bit-identical to the chain
+    gather_rows(neighbor, "src"), add, sigmoid, gated_neighbor_sum: the op
+    performs the chain's floating-point operations in the chain's order,
+    but as one tape entry that keeps only the E x H gate array.
+    """
+    _check_node_rows(neighbor, adj, "gated_aggregate")
+    _check_node_rows(values, adj, "gated_aggregate")
+    if center.data.ndim != 2 or center.data.shape[0] != adj.n_edges:
+        raise ShapeError(
+            f"gated_aggregate: one center row per edge required, got "
+            f"{center.data.shape} for {adj.n_edges} edges")
+    width = center.data.shape[1]
+    if neighbor.data.shape[1] != width or values.data.shape[1] != width:
+        raise ShapeError(
+            f"gated_aggregate: widths differ: center {width}, neighbor "
+            f"{neighbor.data.shape[1]}, values {values.data.shape[1]}")
+    src = adj.src
+    gates = center.data + neighbor.data[src]
+    _logistic(gates, gates)
+    data = kernels.gated_neighbor_sum(values.data, gates, adj, "dst")
+
+    def make():
+        def rule(g, acc):
+            if values.requires_grad:
+                acc(values, kernels.gated_neighbor_sum(g, gates, adj, "src"))
+            gx = values.data[src] * g[adj.dst]
+            gx *= gates
+            gx *= 1.0 - gates
+            acc(center, gx)
+            acc(neighbor, kernels.scatter_rows(gx, adj, "src"))
+
+        return rule
+
+    return _result(data, (center, neighbor, values), make)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,29 @@
-"""The training step reuses its memory instead of faulting it back in.
+"""The training step reuses its memory and keeps little of it alive.
 
-Runs in a fresh interpreter so that no earlier test's allocations shape
-the heap being measured.
+The page-fault test runs in a fresh interpreter so that no earlier test's
+allocations shape the heap being measured.
 """
 
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import graphbench
-from graphbench import tensor
+from graphbench import acceptance, tensor
+from graphbench.models import GraphModel
+from graphbench.seeding import derive_seed
+from graphbench.tensor import Tape, backward
+from graphbench.training import make_instance_fn, weighted_loss
 
 MAX_FAULTS_PER_ITER = 200
+# peak bytes allocated during one taped step, in units of one E x H float64
+# array; the per-edge gate op keeps one such array per layer (per inner
+# step in glstm), so a regression that tapes more edge arrays shows here
+MAX_PEAK_EDGE_ARRAYS = {"gated_gcn": 32, "glstm": 85}
 
 STEADY_STATE_FAULTS = """
 import json, resource
@@ -65,3 +74,31 @@ def test_training_step_does_not_refault_its_memory():
     measured = json.loads(proc.stdout)
     assert measured["tuned"]
     assert measured["faults_per_iter"] < MAX_FAULTS_PER_ITER, measured
+
+
+@pytest.mark.parametrize("arch", sorted(MAX_PEAK_EDGE_ARRAYS))
+def test_taped_step_peak_memory_in_edge_arrays(arch):
+    # acceptance configuration (L=6, T=3, 100K params); one untraced step
+    # first builds the graph's cached operators, then one step is traced
+    config = acceptance.timing_configs()[arch]
+    model = GraphModel(config, seed=1)
+    inst = make_instance_fn("clustering", 0.1, 1)(derive_seed(1, "train", 0))
+    features = inst.node_features()
+    adj = inst.graph.adjacency
+
+    def step():
+        with Tape() as tape:
+            logits = model.forward(features, adj)
+            loss = weighted_loss(logits, inst.targets, config.n_classes)
+        model.zero_grads()
+        backward(loss)
+
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    edge_arrays = peak / (adj.n_edges * config.hidden_dim * 8)
+    assert edge_arrays <= MAX_PEAK_EDGE_ARRAYS[arch], edge_arrays

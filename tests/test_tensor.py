@@ -11,6 +11,7 @@ from graphbench.errors import (
     GraphStructureError,
     ShapeError,
 )
+from graphbench.generators import SbmParams, sbm_generate
 from graphbench.tensor import (
     Tape,
     Tensor,
@@ -18,6 +19,7 @@ from graphbench.tensor import (
     backward,
     batch_norm,
     bias_add,
+    gated_aggregate,
     gather_rows,
     gated_neighbor_sum,
     hadamard,
@@ -257,6 +259,70 @@ def test_gated_neighbor_sum_gate_shape_checked():
     h = Tensor(np.ones((3, 2)))
     with pytest.raises(GraphStructureError):
         gated_neighbor_sum(h, Tensor(np.ones((adj.n_edges + 1, 2))), adj)
+
+
+GATED_AGGREGATE_GRAPHS = [
+    sbm_generate(SbmParams(0.6, 0.3, (3 + seed % 4, 5, 6)), seed).adjacency
+    for seed in range(10)
+] + [
+    SparseAdjacency(4, [], []),
+    # the gradient-check graph: node 4 has no edges, 0 and 2 send and receive several
+    SparseAdjacency(6, [0, 2, 2, 5, 1, 0, 3], [2, 0, 3, 2, 0, 5, 0]),
+]
+
+
+def _wide_range(rng, shape, decades):
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-decades, decades, size=shape)
+
+
+def _gated_chain_and_grads(op, adj, seed):
+    rng = np.random.default_rng(seed)
+    n, n_edges, width = adj.n_nodes, adj.n_edges, 5
+    # gate inputs over a few decades keep the sigmoid unsaturated; values and
+    # the output gradient over sixteen, so any reordered sum would show
+    center = Tensor(_wide_range(rng, (n_edges, width), 2), requires_grad=True)
+    neighbor = Tensor(_wide_range(rng, (n, width), 2), requires_grad=True)
+    values = Tensor(_wide_range(rng, (n, width), 8), requires_grad=True)
+    proj = Tensor(_wide_range(rng, (n, width), 8))
+    with Tape() as tape:
+        out = op(center, neighbor, values, adj)
+        loss = sum_all(hadamard(out, proj))
+    backward(loss)
+    return out.data, center.grad, neighbor.grad, values.grad
+
+
+def _unfused_gated_aggregate(center, neighbor, values, adj):
+    gates = sigmoid(add(center, gather_rows(neighbor, adj, "src")))
+    return gated_neighbor_sum(values, gates, adj)
+
+
+@pytest.mark.parametrize("graph_id", range(len(GATED_AGGREGATE_GRAPHS)))
+def test_gated_aggregate_bit_identical_to_unfused_chain(graph_id):
+    adj = GATED_AGGREGATE_GRAPHS[graph_id]
+    fused = _gated_chain_and_grads(gated_aggregate, adj, 300 + graph_id)
+    chain = _gated_chain_and_grads(_unfused_gated_aggregate, adj, 300 + graph_id)
+    for got, want in zip(fused, chain):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_gated_aggregate_shapes_checked():
+    adj = line_graph(3)
+    n, n_edges = adj.n_nodes, adj.n_edges
+    center = Tensor(np.ones((n_edges, 2)))
+    node_rows = Tensor(np.ones((n, 2)))
+    with pytest.raises(ShapeError):
+        gated_aggregate(Tensor(np.ones((n, 2))), node_rows, node_rows, adj)
+    with pytest.raises(ShapeError):
+        gated_aggregate(Tensor(np.ones(n_edges)), node_rows, node_rows, adj)
+    with pytest.raises(ShapeError):
+        gated_aggregate(center, Tensor(np.ones((n, 3))), node_rows, adj)
+    with pytest.raises(ShapeError):
+        gated_aggregate(center, node_rows, Tensor(np.ones((n, 3))), adj)
+    with pytest.raises(GraphStructureError):
+        gated_aggregate(center, Tensor(np.ones((n + 1, 2))), node_rows, adj)
+    with pytest.raises(GraphStructureError):
+        gated_aggregate(center, node_rows, Tensor(np.ones((n - 1, 2))), adj)
 
 
 def test_sum_all_grad_is_ones():
