@@ -201,7 +201,9 @@ class GlstmLayer(_Layer):
     h and c start at zero each layer; the layer input x feeds every gate at
     every step. Cell mixing uses the neighbors' previous-step cells, so the
     whole node set updates simultaneously: the forget gate of edge j -> i is
-    sigmoid(forget_in(x)_i + forget_nb(h)_j) and weights c_j.
+    sigmoid(forget_in(x)_i + forget_nb(h)_j) and weights c_j. On the first
+    step every c_j is zero, so the forget gate runs from the second step on;
+    with one inner step, forget_in and forget_nb get no gradient.
     """
 
     arch = "glstm"
@@ -232,16 +234,20 @@ class GlstmLayer(_Layer):
         uc = self.cell_in(x)
         uf_dst = gather_rows(self.forget_in(x), adj, "dst")
         h = Tensor(np.zeros((n, self.hidden_dim)))
-        c = Tensor(np.zeros((n, self.hidden_dim)))
-        for _ in range(self.inner_steps):
+        for step in range(self.inner_steps):
             agg = neighbor_sum(h, adj)
             if self.norm:
                 agg = self.norm(agg)
             gate_in = sigmoid(add(ui, self.in_gate_nb(agg)))
             gate_out = sigmoid(add(uo, self.out_gate_nb(agg)))
             cand = tanh(add(uc, self.cell_nb(agg)))
-            forget_nb = self.forget_nb(h)
-            c = add(hadamard(gate_in, cand), gated_aggregate(uf_dst, forget_nb, c, adj))
+            if step == 0:
+                # every neighbor cell is still zero, so the forgotten term is
+                # exactly zero and so are its gradients
+                c = hadamard(gate_in, cand)
+            else:
+                forget_nb = self.forget_nb(h)
+                c = add(hadamard(gate_in, cand), gated_aggregate(uf_dst, forget_nb, c, adj))
             h = hadamard(gate_out, tanh(c))
         return h
 

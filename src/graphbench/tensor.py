@@ -427,8 +427,7 @@ def gated_aggregate(center, neighbor, values, adj):
 
     def make():
         def rule(g, acc):
-            if values.requires_grad:
-                acc(values, kernels.gated_neighbor_sum(g, gates, adj, "src"))
+            acc(values, kernels.gated_neighbor_sum(g, gates, adj, "src"))
             gx = values.data[src] * g[adj.dst]
             gx *= gates
             gx *= 1.0 - gates

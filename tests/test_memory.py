@@ -22,7 +22,8 @@ from graphbench.training import make_instance_fn, weighted_loss
 MAX_FAULTS_PER_ITER = 200
 # peak bytes allocated during one taped step, in units of one E x H float64
 # array; the per-edge gate op keeps one such array per layer (per inner
-# step in glstm), so a regression that tapes more edge arrays shows here
+# step after the first in glstm), so a regression that tapes more edge
+# arrays shows here
 MAX_PEAK_EDGE_ARRAYS = {"gated_gcn": 32, "glstm": 85}
 
 STEADY_STATE_FAULTS = """

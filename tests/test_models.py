@@ -3,6 +3,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from graphbench import acceptance, models
 from graphbench.adjacency import SparseAdjacency
 from graphbench.errors import BudgetError, ContractError
 from graphbench.generators import SbmParams, sbm_generate
@@ -18,8 +19,21 @@ from graphbench.models import (
     residual_wrap,
     solve_hidden_for_budget,
 )
-from graphbench.tensor import Tape, Tensor, backward
-from graphbench.training import weighted_loss
+from graphbench.seeding import derive_seed
+from graphbench.tensor import (
+    Tape,
+    Tensor,
+    add,
+    backward,
+    gated_aggregate,
+    gather_rows,
+    hadamard,
+    neighbor_sum,
+    sigmoid,
+    sum_all,
+    tanh,
+)
+from graphbench.training import make_instance_fn, weighted_loss
 
 
 def small_graph(seed=0):
@@ -138,6 +152,104 @@ def test_glstm_zero_weights_gives_zero_output():
     x = Tensor(np.random.default_rng(1).normal(size=(graph.n_nodes, 4)))
     out = layer(x, graph.adjacency)
     assert np.array_equal(out.data, np.zeros_like(x.data))
+
+
+def full_forget_glstm(layer, x, adj):
+    """GlstmLayer with the forget gate on every inner step, first included."""
+    n = x.data.shape[0]
+    ui = layer.in_gate_in(x)
+    uo = layer.out_gate_in(x)
+    uc = layer.cell_in(x)
+    uf_dst = gather_rows(layer.forget_in(x), adj, "dst")
+    h = Tensor(np.zeros((n, layer.hidden_dim)))
+    c = Tensor(np.zeros((n, layer.hidden_dim)))
+    for _ in range(layer.inner_steps):
+        agg = neighbor_sum(h, adj)
+        if layer.norm:
+            agg = layer.norm(agg)
+        gate_in = sigmoid(add(ui, layer.in_gate_nb(agg)))
+        gate_out = sigmoid(add(uo, layer.out_gate_nb(agg)))
+        cand = tanh(add(uc, layer.cell_nb(agg)))
+        forget_nb = layer.forget_nb(h)
+        c = add(hadamard(gate_in, cand), gated_aggregate(uf_dst, forget_nb, c, adj))
+        h = hadamard(gate_out, tanh(c))
+    return h
+
+
+def _output_and_grads(layer, run, x, adj, weights):
+    x.grad = None
+    for _, t in layer.named_tensors():
+        t.grad = None
+    with Tape() as tape:
+        out = run(x, adj)
+        loss = sum_all(hadamard(out, weights))
+    backward(loss)
+    grads = {"x": x.grad}
+    grads.update((name, t.grad) for name, t in layer.named_tensors())
+    return out.data, grads
+
+
+def _isolate_node(graph, node):
+    pairs = graph.adjacency.undirected_pairs()
+    keep = (pairs[:, 0] != node) & (pairs[:, 1] != node)
+    return SparseAdjacency.from_undirected(graph.n_nodes, pairs[keep])
+
+
+@pytest.mark.parametrize("use_norm", [True, False])
+@pytest.mark.parametrize("inner_steps", [1, 2, 3])
+def test_glstm_first_step_skip_is_bit_identical(inner_steps, use_norm):
+    # the skipped first-step forget term is exactly zero: output and every
+    # gradient must equal the full loop's bit for bit
+    adjs = [small_graph(seed).adjacency for seed in range(20, 25)]
+    adjs.append(_isolate_node(small_graph(25), 3))
+    assert adjs[-1].in_degree()[3] == 0
+    rng = np.random.default_rng(inner_steps)
+    for adj in adjs:
+        layer = GlstmLayer(rng, 5, inner_steps=inner_steps, use_norm=use_norm)
+        x = Tensor(rng.normal(size=(adj.n_nodes, 5)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(adj.n_nodes, 5)))
+        out, grads = _output_and_grads(layer, layer, x, adj, weights)
+        ref_out, ref_grads = _output_and_grads(
+            layer, lambda x, adj: full_forget_glstm(layer, x, adj), x, adj, weights)
+        assert np.array_equal(out, ref_out)
+        for name, ref in ref_grads.items():
+            got = grads[name]
+            if got is None:
+                # only a single step leaves the forget gate off the tape
+                assert inner_steps == 1 and name.startswith("forget_"), name
+                assert not np.any(ref), name
+            else:
+                assert np.array_equal(got, ref), name
+
+
+def test_glstm_forget_gate_runs_from_second_step(monkeypatch):
+    calls = []
+    original = models.gated_aggregate
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(models, "gated_aggregate", counting)
+    adj = small_graph(11).adjacency
+    rng = np.random.default_rng(0)
+    layer = GlstmLayer(rng, 4, inner_steps=3)
+    x = Tensor(rng.normal(size=(adj.n_nodes, 4)))
+    with Tape():
+        layer(x, adj)
+    assert len(calls) == 2
+
+
+def test_glstm_acceptance_step_tape_length():
+    # acceptance configuration (L=6, T=3): 413 tape entries, 24 fewer
+    # than with the forget gate on the first step
+    config = acceptance.timing_configs()["glstm"]
+    model = GraphModel(config, seed=1)
+    inst = make_instance_fn("clustering", 0.1, 1)(derive_seed(1, "train", 0))
+    with Tape() as tape:
+        logits = model.forward(inst.node_features(), inst.graph.adjacency)
+        weighted_loss(logits, inst.targets, config.n_classes)
+    assert len(tape.ops) == 413
 
 
 def test_commnet_zero_weights_yields_bias_rows():
