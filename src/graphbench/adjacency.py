@@ -81,19 +81,12 @@ class SparseAdjacency:
     def in_degree(self):
         return np.diff(self.offsets)
 
-    def in_neighbors(self, i):
-        return self.src[self.offsets[i]:self.offsets[i + 1]]
-
     def undirected_pairs(self):
         """Unique (i, j) pairs with i < j, sorted. Requires a symmetric edge set."""
         keep = self.src < self.dst
         pairs = np.stack([self.src[keep], self.dst[keep]], axis=1)
         order = np.lexsort((pairs[:, 1], pairs[:, 0]))
         return pairs[order]
-
-    def is_symmetric(self):
-        fwd = set(zip(self.src.tolist(), self.dst.tolist()))
-        return all((d, s) in fwd for s, d in fwd)
 
     def endpoint(self, name):
         """The ``dst`` or ``src`` index array, selected by name."""

@@ -90,24 +90,34 @@ class TaskInstance:
 
 
 def _sbm_edge_pairs(rng, sizes, intra_p, inter_q):
-    """Draw undirected SBM edges block by block.
+    """Draw undirected SBM edges, every candidate pair from one ``rng.random``.
 
-    Draw order is fixed (each block's internal pairs, then its cross pairs
-    against every later block), so a given generator state always yields
-    the same graph.
+    Draw order is fixed: block a's internal pairs (upper triangle,
+    row-major), then its s_a x s_b row-major grid of cross pairs with each
+    later block b, then block a + 1, and so on. PCG64 spends one 64-bit draw
+    per double, so one call yields the stream of one call per block pair,
+    and a given generator state always yields the same graph.
+
+    The candidates are laid out in that order as runs, one per block pair
+    a <= b and node i of block a: i against the consecutive nodes j of
+    block b (those after i when b == a).
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(sizes)))
-    chunks = []
-    for a in range(len(sizes)):
-        ii, jj = np.triu_indices(sizes[a], k=1)
-        keep = rng.random(ii.size) < intra_p
-        chunks.append(np.column_stack((ii[keep] + starts[a], jj[keep] + starts[a])))
-        for b in range(a + 1, len(sizes)):
-            mask = rng.random((sizes[a], sizes[b])) < inter_q
-            ii, jj = np.nonzero(mask)
-            chunks.append(np.column_stack((ii + starts[a], jj + starts[b])))
-    pairs = np.concatenate(chunks) if chunks else np.zeros((0, 2), dtype=np.int64)
+    pair_a, pair_b = np.triu_indices(len(sizes))
+    runs = sizes[pair_a]
+    # the runs of pair (a, b) take nodes starts[a], starts[a] + 1, ... in turn
+    run_i = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs - starts[pair_a], runs)
+    run_b = np.repeat(pair_b, runs)
+    intra = run_b == np.repeat(pair_a, runs)
+    first_j = np.where(intra, run_i + 1, starts[run_b])
+    run_len = starts[run_b + 1] - first_j
+    run_end = np.cumsum(run_len)
+    u = rng.random(run_len.sum())
+    drawn = np.flatnonzero(u < np.repeat(np.where(intra, intra_p, inter_q), run_len))
+    run = np.searchsorted(run_end, drawn, side="right")
+    # draw d of run r pairs run_i[r] with first_j[r] + (d - where r starts)
+    pairs = np.column_stack((run_i[run], drawn + (first_j - run_end + run_len)[run]))
     community = np.repeat(np.arange(len(sizes)), sizes)
     return pairs, community
 

@@ -4,6 +4,7 @@ import pytest
 from graphbench.errors import ContractError, InsufficientSamplesError
 from graphbench.generators import (
     SbmParams,
+    _sbm_edge_pairs,
     graph_from_text,
     graph_to_text,
     instance_from_text,
@@ -25,6 +26,43 @@ def test_sbm_params_validated():
         SbmParams(0.5, 0.1, ())
     with pytest.raises(ContractError):
         SbmParams(0.5, 0.1, (5, 0))
+
+
+def per_block_edge_pairs(rng, sizes, intra_p, inter_q):
+    """Reference: one ``rng.random`` call per block pair, as first written."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    chunks = []
+    for a in range(len(sizes)):
+        ii, jj = np.triu_indices(sizes[a], k=1)
+        keep = rng.random(ii.size) < intra_p
+        chunks.append(np.column_stack((ii[keep] + starts[a], jj[keep] + starts[a])))
+        for b in range(a + 1, len(sizes)):
+            mask = rng.random((sizes[a], sizes[b])) < inter_q
+            ii, jj = np.nonzero(mask)
+            chunks.append(np.column_stack((ii + starts[a], jj + starts[b])))
+    pairs = np.concatenate(chunks) if chunks else np.zeros((0, 2), dtype=np.int64)
+    community = np.repeat(np.arange(len(sizes)), sizes)
+    return pairs, community
+
+
+def test_edge_pairs_bit_identical_to_per_block_draws():
+    # same pairs in the same order, same communities, and the generator
+    # left in the same state, over 1,200 random block layouts
+    cases = np.random.default_rng(2026)
+    for case in range(1200):
+        n_blocks = 1 if case % 10 == 0 else int(cases.integers(1, 8))
+        sizes = cases.integers(1, 4 if case % 3 == 0 else 14, size=n_blocks)
+        p = (0.0, 1.0, float(cases.random()))[case % 3]
+        q = (0.0, 1.0, float(cases.random()), float(cases.random()))[case % 4]
+        seed = int(cases.integers(1 << 31))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        pairs, community = _sbm_edge_pairs(rng, sizes, p, q)
+        ref_pairs, ref_community = per_block_edge_pairs(ref_rng, sizes, p, q)
+        assert pairs.dtype == ref_pairs.dtype and pairs.shape == ref_pairs.shape
+        assert np.array_equal(pairs, ref_pairs), (sizes, p, q)
+        assert np.array_equal(community, ref_community)
+        assert rng.random() == ref_rng.random()
 
 
 def test_sbm_generate_deterministic():

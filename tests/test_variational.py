@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from graphbench.adjacency import SparseAdjacency
 from graphbench.dirichlet import (
+    CG_TOL,
     build_laplacian,
     dirichlet_assign,
     jacobi_pcg,
@@ -160,3 +162,138 @@ def test_input_validation():
     mask = np.array([True, False, False, False])
     with pytest.raises(ContractError):
         dirichlet_assign(graph, mask, bad, 2)
+
+
+def solo_pcg(a, b, tol=CG_TOL, max_iters=None):
+    """Reference: the single right-hand-side solver, as first written."""
+    n = b.shape[0]
+    if max_iters is None:
+        max_iters = 10 * n
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0.0:
+        return np.zeros(n), 0
+    inv_diag = 1.0 / a.diagonal()
+    x = np.zeros(n)
+    r = b.copy()
+    z = inv_diag * r
+    p = z.copy()
+    rz = r @ z
+    for it in range(1, max_iters + 1):
+        ap = a @ p
+        alpha = rz / (p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        res = np.linalg.norm(r)
+        if res <= tol * b_norm:
+            return x, it
+        z = inv_diag * r
+        rz_new = r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise SolverError(f"CG did not converge in {max_iters} iterations",
+                      residual=float(np.linalg.norm(r) / b_norm),
+                      iterations=max_iters)
+
+
+def per_class_potentials(graph, seed_mask, labels_full, n_classes):
+    """Reference: one solo CG per class, as ``dirichlet_assign`` first did."""
+    n = graph.n_nodes
+    labels = labels_full[seed_mask]
+    lap = build_laplacian(graph)
+    _, component = connected_components(lap, directed=False)
+    reachable = np.isin(component, np.unique(component[seed_mask]))
+    majority = int(np.bincount(labels, minlength=n_classes).argmax())
+    solve_mask = reachable & ~seed_mask
+    potentials = np.zeros((n, n_classes))
+    potentials[seed_mask, labels] = 1.0
+    potentials[~reachable, majority] = 1.0
+    cg_iters = []
+    if solve_mask.any():
+        luu = lap[solve_mask][:, solve_mask].tocsr()
+        lul = lap[solve_mask][:, seed_mask].tocsr()
+        for c in range(n_classes):
+            x, iters = solo_pcg(luu, -lul @ (labels == c).astype(float))
+            potentials[solve_mask, c] = x
+            cg_iters.append(iters)
+    assignment = potentials.argmax(axis=1)
+    assignment[seed_mask] = labels
+    return potentials, assignment, cg_iters
+
+
+def test_dirichlet_bit_identical_to_per_class_solves():
+    # every third graph loses one seed: that class's right-hand side is all
+    # zeros, and at q = 0 its community becomes a seedless component
+    seedless = zero_columns = 0
+    for i in range(120):
+        inst = make_clustering_instance((0.0, 0.02, 0.1, 0.3)[i % 4], 500 + i)
+        seeds = inst.seed_mask.copy()
+        if i % 3 == 0:
+            seeds[np.flatnonzero(seeds)[i % 10]] = False
+        result = dirichlet_assign(inst.graph, seeds, inst.targets, 10)
+        potentials, assignment, cg_iters = per_class_potentials(
+            inst.graph, seeds, inst.targets, 10)
+        assert result.potentials.tobytes() == potentials.tobytes(), i
+        assert np.array_equal(result.assignment, assignment)
+        assert result.cg_iterations == cg_iters
+        assert all(type(it) is int for it in result.cg_iterations)
+        seedless += bool(result.flagged.any())
+        zero_columns += 0 in cg_iters
+    assert seedless > 0 and zero_columns > 0
+
+
+def spd_system(seed, n=40):
+    graph = sbm_generate(SbmParams(0.4, 0.1, (n // 2, n - n // 2)), seed)
+    return (build_laplacian(graph) + 0.05 * sp.identity(n)).tocsr()
+
+
+def one_step_direction(a):
+    """v with a @ v = lam * diag(a) * v: for b = diag(a) * v, the first
+    Jacobi-preconditioned search direction is the solution's direction."""
+    diag = a.diagonal()
+    _, vecs = np.linalg.eigh(a.toarray() / np.sqrt(np.outer(diag, diag)))
+    return vecs[:, -1] / np.sqrt(diag)
+
+
+def test_pcg_columns_match_solo_solves():
+    a = spd_system(4)
+    rng = np.random.default_rng(8)
+    # a zero column, an eigen-direction of the preconditioned system
+    # (one iteration) and random columns scaled over many decades
+    b = rng.normal(size=(40, 5)) * np.array([1.0, 1e-6, 1e6, 1.0, 1.0])
+    b[:, 0] = 0.0
+    b[:, 3] = a.diagonal() * one_step_direction(a)
+    iters = np.zeros(5, dtype=np.int64)
+    x, total = jacobi_pcg(a, b, column_iterations=iters)
+    assert x.shape == (40, 5)
+    assert type(total) is int and total == iters.sum()
+    for c in range(5):
+        x_c, iters_c = solo_pcg(a, b[:, c])
+        assert x[:, c].tobytes() == x_c.tobytes()
+        assert iters[c] == iters_c
+    assert iters[0] == 0 and iters[3] == 1
+    assert len(set(iters.tolist())) >= 3
+    # a 1-D right-hand side keeps the solo return types
+    x1, it1 = jacobi_pcg(a, b[:, 2])
+    assert x1.tobytes() == x[:, 2].tobytes() and it1 == iters[2]
+    assert type(it1) is int
+
+
+def test_pcg_budget_reports_lowest_unconverged_column():
+    a = spd_system(6)
+    b = np.random.default_rng(1).normal(size=(40, 3))
+    b[:, 0] = a.diagonal() * one_step_direction(a)
+    solo_iters = [solo_pcg(a, b[:, c])[1] for c in range(3)]
+    budget = min(solo_iters[1:]) - 1
+    assert solo_iters[0] <= budget
+    with pytest.raises(SolverError) as solo_err:
+        solo_pcg(a, b[:, 1], max_iters=budget)
+    # column 0 converges inside the budget, columns 1 and 2 both fail, and
+    # the lower-index one is reported
+    with pytest.raises(SolverError) as err:
+        jacobi_pcg(a, b, max_iters=budget)
+    assert err.value.iterations == budget
+    assert err.value.residual == solo_err.value.residual
+    # only column 1 fails
+    with pytest.raises(SolverError) as err:
+        jacobi_pcg(a, b[:, :2], max_iters=budget)
+    assert err.value.residual == solo_err.value.residual
