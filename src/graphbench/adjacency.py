@@ -3,6 +3,9 @@
 Edges are directed (src -> dst) and stored sorted by (dst, src), so all
 in-edges of a node are contiguous and kernels accumulate per destination
 in ascending neighbor order. Undirected graphs store both directions.
+That order comes from one stable argsort of the int64 key
+dst * n_nodes + src, which is unique per edge (duplicates are rejected)
+and cannot overflow while n_nodes**2 < 2**63.
 
 The kernels multiply by four unit-valued CSR operators (the adjacency,
 its transpose, and the incidence by dst and by src), each built on first
@@ -30,26 +33,26 @@ class SparseAdjacency:
                  "_adj_to_dst", "_adj_to_src", "_inc_to_dst", "_inc_to_src")
 
     def __init__(self, n_nodes, src, dst):
+        """Sort the edges by the key dst * n_nodes + src.
+
+        Raises GraphStructureError for an index outside [0, n_nodes) and for
+        a repeated edge. The key is unique per edge once both checks pass,
+        so the stable argsort yields exactly the (dst, src) lexicographic
+        order; n_nodes**2 must stay below 2**63.
+        """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape or src.ndim != 1:
             raise GraphStructureError("src/dst must be 1-d arrays of equal length")
-        if src.size:
-            if src.min() < 0 or dst.min() < 0:
-                raise GraphStructureError("negative node index")
-            if src.max() >= n_nodes or dst.max() >= n_nodes:
-                raise GraphStructureError("node index out of range")
-        order = np.lexsort((src, dst))
-        src = src[order]
-        dst = dst[order]
-        if src.size > 1:
-            same = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
-            if same.any():
-                raise GraphStructureError("duplicate directed edge")
+        _check_node_range(n_nodes, src, dst)
+        keys = dst * n_nodes + src
+        order = np.argsort(keys, kind="stable")
+        if _has_repeat(keys[order]):
+            raise GraphStructureError("duplicate directed edge")
         self.n_nodes = int(n_nodes)
-        self.src = src
-        self.dst = dst
-        self.offsets = _row_offsets(dst, n_nodes)
+        self.src = src[order]
+        self.dst = dst[order]
+        self.offsets = _row_offsets(self.dst, n_nodes)
         self._adj_to_dst = None
         self._adj_to_src = None
         self._inc_to_dst = None
@@ -59,17 +62,18 @@ class SparseAdjacency:
     def from_undirected(cls, n_nodes, pairs):
         """Build from unordered node pairs; both directions are stored.
 
-        Rejects self-loops and duplicate pairs.
+        Rejects self-loops, out-of-range indices and duplicate pairs, in
+        that order; a pair is a duplicate when its key lo * n_nodes + hi
+        repeats.
         """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        if pairs.size and (pairs[:, 0] == pairs[:, 1]).any():
+        if (pairs[:, 0] == pairs[:, 1]).any():
             raise GraphStructureError("self-loop in undirected edge list")
-        lo = pairs.min(axis=1)
-        hi = pairs.max(axis=1)
-        if pairs.size:
-            keys = lo * n_nodes + hi
-            if np.unique(keys).size != keys.size:
-                raise GraphStructureError("duplicate undirected edge")
+        _check_node_range(n_nodes, pairs)
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        if _has_repeat(np.sort(lo * n_nodes + hi)):
+            raise GraphStructureError("duplicate undirected edge")
         src = np.concatenate([lo, hi])
         dst = np.concatenate([hi, lo])
         return cls(n_nodes, src, dst)
@@ -84,9 +88,9 @@ class SparseAdjacency:
     def undirected_pairs(self):
         """Unique (i, j) pairs with i < j, sorted. Requires a symmetric edge set."""
         keep = self.src < self.dst
-        pairs = np.stack([self.src[keep], self.dst[keep]], axis=1)
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        return pairs[order]
+        lo, hi = self.src[keep], self.dst[keep]
+        order = np.argsort(lo * self.n_nodes + hi, kind="stable")
+        return np.stack([lo[order], hi[order]], axis=1)
 
     def endpoint(self, name):
         """The ``dst`` or ``src`` index array, selected by name."""
@@ -136,6 +140,20 @@ class SparseAdjacency:
 
     def __repr__(self):
         return f"SparseAdjacency(n_nodes={self.n_nodes}, n_edges={self.n_edges})"
+
+
+def _check_node_range(n_nodes, *indices):
+    """Raise unless every index lies in [0, n_nodes)."""
+    if indices[0].size:
+        if min(a.min() for a in indices) < 0:
+            raise GraphStructureError("negative node index")
+        if max(a.max() for a in indices) >= n_nodes:
+            raise GraphStructureError("node index out of range")
+
+
+def _has_repeat(sorted_keys):
+    """Whether any two neighbouring entries of a sorted array are equal."""
+    return bool((sorted_keys[1:] == sorted_keys[:-1]).any())
 
 
 def _row_offsets(keys, n_rows):

@@ -33,16 +33,24 @@ CG_TOL = 1e-8
 
 
 def build_laplacian(graph):
-    """Combinatorial Laplacian L = D - A with unit edge weights, CSR."""
-    pairs = graph.adjacency.undirected_pairs()
-    n = graph.n_nodes
-    if pairs.size == 0:
-        return sp.csr_matrix((n, n))
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    degrees = np.asarray(adj.sum(axis=1)).ravel()
-    return sp.diags(degrees).tocsr() - adj
+    """Combinatorial Laplacian L = D - A with unit edge weights, CSR.
+
+    Assembled straight from the stored edges: sorted by (dst, src), they
+    are already -A in CSR order. Each node with neighbours gains one
+    diagonal entry, its in-degree (its degree, the edge set being
+    symmetric), inserted where its key v * n + v sorts among the edge keys
+    dst * n + src. An isolated node's row stays empty, so L stores no
+    zeros; every row's columns ascend.
+    """
+    adj = graph.adjacency
+    n = adj.n_nodes
+    degrees = adj.in_degree()
+    nodes = np.flatnonzero(degrees)
+    at = np.searchsorted(adj.dst * n + adj.src, nodes * (n + 1))
+    indptr = adj.offsets.copy()
+    indptr[1:] += np.cumsum(degrees > 0)
+    data = np.insert(np.full(adj.n_edges, -1.0), at, degrees[nodes])
+    return sp.csr_matrix((data, np.insert(adj.src, at, nodes), indptr), shape=(n, n))
 
 
 def jacobi_pcg(a, b, tol=CG_TOL, max_iters=None, column_iterations=None):

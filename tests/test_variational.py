@@ -41,6 +41,42 @@ def test_laplacian_structure():
     assert np.array_equal(off, -dense)
 
 
+def coo_laplacian(graph):
+    """L = D - A assembled from the sorted undirected pairs through COO, as
+    build_laplacian did before it reused the graph's adjacency operator."""
+    pairs = graph.adjacency.undirected_pairs()
+    n = graph.n_nodes
+    if pairs.size == 0:
+        return sp.csr_matrix((n, n))
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    degrees = np.asarray(adj.sum(axis=1)).ravel()
+    return sp.diags(degrees).tocsr() - adj
+
+
+def test_laplacian_bit_identical_to_coo_assembly():
+    rng = np.random.default_rng(21)
+    seen = {"empty": 0, "isolated": 0, "single": 0}
+    for k in range(1000):
+        n = 1 if k % 10 == 0 else int(rng.integers(2, 40))
+        p = (0.0, 0.05, 0.3, 1.0)[k % 4] if k % 5 else rng.uniform()
+        i, j = np.nonzero(np.triu(rng.uniform(size=(n, n)) < p, 1))
+        flip = rng.uniform(size=i.size) < 0.5
+        pairs = np.stack([np.where(flip, j, i), np.where(flip, i, j)], axis=1)
+        graph = graph_from_pairs(n, pairs[rng.permutation(i.size)])
+        got, expect = build_laplacian(graph), coo_laplacian(graph)
+        assert got.format == "csr" and got.shape == (n, n)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(expect, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.has_sorted_indices == expect.has_sorted_indices
+        seen["empty"] += i.size == 0
+        seen["isolated"] += i.size > 0 and bool((graph.adjacency.in_degree() == 0).any())
+        seen["single"] += n == 1
+    assert min(seen.values()) >= 50, seen
+
+
 def test_pcg_agrees_with_dense_solve():
     rng = np.random.default_rng(0)
     for n in (5, 12, 30, 50):
