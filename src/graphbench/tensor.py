@@ -2,8 +2,9 @@
 
 Operations executed inside a ``with Tape() as tape:`` block are recorded
 in execution order (which is already topological for define-by-run code);
-:func:`backward` replays the tape once, in reverse. Gradients of leaf
-tensors accumulate across backward calls until the caller zeroes them.
+:func:`backward` replays the tape once, in reverse, freeing each
+intermediate gradient once its op's rule has run. Only leaves get ``.grad``,
+and it accumulates across backward calls until the caller zeroes it.
 
 The tape owns the recorded graph. Tensors hold only a weak reference back
 to it, so the graph never forms a reference cycle and is freed by plain
@@ -16,9 +17,8 @@ Outside a tape, the same operations run forward-only with no recording,
 which is how evaluation passes avoid autodiff overhead.
 
 Gradient arrays are shared, not copied: :func:`backward` may hand one
-array to several tensors (both inputs of an ``add`` get the same ``.grad``)
-and stores an op's output gradient as-is. Treat every ``.grad`` as
-read-only; to change one, rebind it to a new array.
+array to several leaves (both inputs of an ``add`` get the same ``.grad``).
+Treat every ``.grad`` as read-only; to change one, rebind it to a new array.
 
 On glibc, importing this module raises malloc's mmap and trim thresholds
 (see :func:`_keep_freed_memory`), so the pages a training step frees are
@@ -135,11 +135,11 @@ def _result(data, inputs, make_backward):
 
 
 def backward(loss):
-    """Populate .grad on every requires_grad tensor reachable from loss.
+    """Populate .grad on every requires_grad leaf reachable from loss.
 
-    Gradients accumulate onto existing .grad arrays; callers zero them
-    between steps. Intermediate flow is kept separate per call, so two
-    consecutive backwards double leaf gradients exactly.
+    Leaves (tensors no tape op produced) accumulate onto existing .grad;
+    callers zero it between steps. An op output's gradient is freed once
+    its rule has run. Flow is per call: two backwards double leaf grads.
 
     A tensor's first incoming gradient is kept without a copy, so it may
     be the very array another tensor receives. Only arrays this call
@@ -171,7 +171,7 @@ def backward(loss):
 
     acc(loss, np.ones_like(loss.data))
     for out, rule in reversed(tape.ops):
-        g = flows.get(id(out))
+        g = flows.pop(id(out), None)
         if g is None:
             continue
         rule(g, acc)

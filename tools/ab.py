@@ -12,9 +12,10 @@ first in odd ones, so that drift on the machine falls on both sides. The
 output file holds every pair's end-to-end metrics (the names this tree's
 BENCHMARK.json lists), each side's median and quartiles, the median and
 quartiles of the per-pair change/ref ratio, the change's wins (ties count
-for neither side), whether ``loss_mean`` read the same in every run, and
-the environment. The exit code is 1 when any run reported incorrect
-output or failed, or when ``loss_mean`` differed between any two runs.
+for neither side), two verdicts per metric (see :func:`summarize`),
+whether ``loss_mean`` read the same in every run, and the environment.
+The exit code is 1 when any run reported incorrect output or failed, or
+when ``loss_mean`` differed between any two runs.
 """
 
 import argparse
@@ -78,8 +79,14 @@ def summarize(runs, metric_specs):
     ``runs`` is a list of pairs, each a dict {"ref": result, "change": result}
     of bench/run.py's last-line JSON (None for a run that printed none).
     ``metric_specs`` lists BENCHMARK.json's end-to-end entries (name, unit,
-    better). A metric missing from a run is null in the lists and left out
-    of the medians, quartiles and win counts.
+    better, bound). A metric missing from a run is null in the lists and
+    left out of the medians, quartiles and win counts.
+
+    Each metric gets two verdicts. ``gain``: the change is better in at
+    least 9 of every 10 pairs, and its median beats the ref median by more
+    than the width of the ref's IQR. ``regressed``: the change median is
+    worse than the ref median by more than ``bound`` times the ref median.
+    Both are false when a side has no value.
     """
 
     def value(result, name):
@@ -102,10 +109,16 @@ def summarize(runs, metric_specs):
                  "ref": listed(ref), "change": listed(change), "ratio": listed(ratio),
                  "change_wins": int((sign * (change - ref) > 0).sum()),
                  "ref_wins": int((sign * (ref - change) > 0).sum())}
+        q = {}
         for key, values in (("ref", ref), ("change", change), ("ratio", ratio)):
-            q = quartiles(values)
-            entry[f"{key}_median"] = q and q[1]
-            entry[f"{key}_iqr"] = q and [q[0], q[2]]
+            q[key] = quartiles(values)
+            entry[f"{key}_median"] = q[key] and q[key][1]
+            entry[f"{key}_iqr"] = q[key] and [q[key][0], q[key][2]]
+        both = q["ref"] is not None and q["change"] is not None
+        gap = sign * (q["change"][1] - q["ref"][1]) if both else None
+        entry["gain"] = bool(both and entry["change_wins"] * 10 >= 9 * len(runs)
+                             and gap > q["ref"][2] - q["ref"][0])
+        entry["regressed"] = bool(both and -gap > spec["bound"] * abs(q["ref"][1]))
         metrics[name] = entry
 
     results = [pair[side] for pair in runs for side in SIDES]
@@ -190,7 +203,8 @@ def main(argv=None):
         print(f"{name:<14} median ref {fmt(entry['ref_median']):>10} "
               f"change {fmt(entry['change_median']):>10} "
               f"ratio {fmt(entry['ratio_median']):>8}  "
-              f"change better in {entry['change_wins']}/{summary['pairs']}")
+              f"change better in {entry['change_wins']}/{summary['pairs']}  "
+              f"gain {entry['gain']}  regressed {entry['regressed']}")
     print(f"loss_mean identical: {summary['loss_mean_identical']}; "
           f"incorrect runs: {summary['incorrect_runs']}; written to {args.out}")
     failed = summary["incorrect_runs"] or any(exit_codes) or not summary["loss_mean_identical"]
