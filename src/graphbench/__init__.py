@@ -57,7 +57,6 @@ from .models import (
     Linear,
     ModelConfig,
     count_params,
-    residual_wrap,
     solve_hidden_for_budget,
 )
 from .seeding import derive_seed

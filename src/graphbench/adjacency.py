@@ -87,10 +87,10 @@ class SparseAdjacency:
 
     def undirected_pairs(self):
         """Unique (i, j) pairs with i < j, sorted. Requires a symmetric edge set."""
-        keep = self.src < self.dst
-        lo, hi = self.src[keep], self.dst[keep]
-        order = np.argsort(lo * self.n_nodes + hi, kind="stable")
-        return np.stack([lo[order], hi[order]], axis=1)
+        # edges are stored sorted by (dst, src), so those with dst < src,
+        # read as (dst, src), are already the sorted pairs
+        keep = self.dst < self.src
+        return np.stack([self.dst[keep], self.src[keep]], axis=1)
 
     def endpoint(self, name):
         """The ``dst`` or ``src`` index array, selected by name."""

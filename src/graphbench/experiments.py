@@ -25,7 +25,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -195,14 +195,13 @@ def batch_timer(config, task, q_noise, seed, n_graphs=100):
     instance_fn = make_instance_fn(task, q_noise, derive_seed(seed, "timing-data"))
     instances = [instance_fn(derive_seed(seed, "timing", k)) for k in range(n_graphs)]
     model = GraphModel(config, seed=derive_seed(seed, "timing-init"))
-    _, n_classes = task_dims(task)
 
     def run():
         t0 = time.perf_counter()
         for inst in instances:
             with Tape() as tape:
                 logits = model.forward(inst.node_features(), inst.graph.adjacency)
-                loss = weighted_loss(logits, inst.targets, n_classes)
+                loss = weighted_loss(logits, inst.targets, inst.n_classes)
             model.zero_grads()
             backward(loss)
         return (time.perf_counter() - t0) * 1000.0
@@ -384,12 +383,7 @@ def _write_curves_csv(spec, cells, path):
 # ---------------------------------------------------------------------------
 # spec files
 
-_INT_KEYS = {"trials", "seed", "n_iters", "eval_instances", "budget",
-             "hidden_dim", "n_layers", "inner_steps", "curve_every",
-             "curve_instances"}
-_FLOAT_KEYS = {"q_noise", "learning_rate"}
-_BOOL_KEYS = {"residual", "use_norm", "time_batches"}
-_STR_KEYS = {"name", "sweep", "task", "optimizer"}
+_KEY_TYPES = {f.name: f.type for f in fields(ExperimentSpec)}
 
 
 def _parse_number(token):
@@ -401,7 +395,7 @@ def _parse_number(token):
 
 def parse_experiment_text(text):
     """key=value experiment format; '#' starts a comment, lists are comma-split."""
-    fields = {}
+    spec = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -411,31 +405,28 @@ def parse_experiment_text(text):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in fields:
+        if key in spec:
             raise ContractError(f"line {lineno}: duplicate key {key!r}")
+        kind = _KEY_TYPES.get(key)
         if key == "archs":
-            fields[key] = tuple(v.strip() for v in value.split(",") if v.strip())
+            spec[key] = tuple(v.strip() for v in value.split(",") if v.strip())
         elif key == "values":
-            fields[key] = tuple(_parse_number(v.strip())
-                                for v in value.split(",") if v.strip())
-        elif key in _INT_KEYS:
-            fields[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            fields[key] = float(value)
-        elif key in _BOOL_KEYS:
+            spec[key] = tuple(_parse_number(v.strip())
+                              for v in value.split(",") if v.strip())
+        elif kind is None:
+            raise ContractError(f"line {lineno}: unknown key {key!r}")
+        elif kind is bool:
             if value not in ("true", "false"):
                 raise ContractError(f"line {lineno}: {key} must be true or false")
-            fields[key] = value == "true"
-        elif key in _STR_KEYS:
-            fields[key] = value
+            spec[key] = value == "true"
         else:
-            raise ContractError(f"line {lineno}: unknown key {key!r}")
-    if fields.get("sweep") == "learning_speed" and "values" not in fields:
-        fields["values"] = (0,)
-    missing = {"name", "sweep", "task", "archs", "values"} - set(fields)
+            spec[key] = kind(value)  # int, float or str, as ExperimentSpec declares
+    if spec.get("sweep") == "learning_speed" and "values" not in spec:
+        spec["values"] = (0,)
+    missing = {"name", "sweep", "task", "archs", "values"} - set(spec)
     if missing:
         raise ContractError(f"missing required keys: {sorted(missing)}")
-    return ExperimentSpec(**fields)
+    return ExperimentSpec(**spec)
 
 
 def parse_experiment_file(path):
@@ -453,7 +444,7 @@ def run_dirichlet_baseline(q_noise, n_instances, seed, tol=CG_TOL):
     for k in range(n_instances):
         inst = make_clustering_instance(q_noise, derive_seed(seed, "dirichlet", k))
         res = dirichlet_assign(inst.graph, inst.seed_mask, inst.targets,
-                               n_classes=10, tol=tol)
+                               n_classes=inst.n_classes, tol=tol)
         accs.append(accuracy(res.assignment, inst.targets))
         flagged_total += int(res.flagged.sum())
     return {

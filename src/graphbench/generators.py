@@ -37,6 +37,9 @@ HOST_INTRA_P = 0.5
 CLUSTER_COMMUNITIES = 10
 CLUSTER_SIZE_RANGE = (5, 25)
 CLUSTER_INTRA_P = 0.5
+# (input_dim, n_classes) per task, matching TaskInstance.node_features
+TASK_DIMS = {TASK_MATCHING: (N_SIGNALS, 2),
+             TASK_CLUSTERING: (CLUSTER_COMMUNITIES + 1, CLUSTER_COMMUNITIES)}
 
 
 @dataclass(frozen=True)
@@ -70,11 +73,11 @@ class TaskInstance:
 
     @property
     def n_classes(self):
-        return 2 if self.task == TASK_MATCHING else CLUSTER_COMMUNITIES
+        return TASK_DIMS[self.task][1]
 
     @property
     def input_dim(self):
-        return N_SIGNALS if self.task == TASK_MATCHING else CLUSTER_COMMUNITIES + 1
+        return TASK_DIMS[self.task][0]
 
     def node_features(self):
         """Input encoding: n x 3 signal one-hot (matching) or

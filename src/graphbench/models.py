@@ -18,6 +18,10 @@ weight are one tape op, ``gated_aggregate``, which also computes glstm's
 forget gates. Neighbor-transform biases are added once per node after
 aggregation, which keeps gated_gcn with all gates forced to one
 bit-for-bit equal to commnet.
+
+Each parameter is named by its attribute path (``layers.0.norm.gamma``), in
+attribute-assignment order; those names key the checkpoint, the optimizer
+state and the parameter count.
 """
 
 import functools
@@ -77,7 +81,28 @@ class ModelConfig:
         return cls(**json.loads(text))
 
 
-class Linear:
+class Module:
+    """Base of every layer and the model; a parameter is declared by assigning it.
+
+    ``named_tensors`` walks the attributes in assignment order: a Tensor is
+    yielded as ``prefix + name``, a Module or a list of Modules recurses with
+    ``name.`` or ``name.<i>.`` added to the prefix, and the rest is skipped.
+    """
+
+    def named_tensors(self, prefix=""):
+        out = []
+        for name, value in vars(self).items():
+            if isinstance(value, Tensor):
+                out.append((prefix + name, value))
+            elif isinstance(value, Module):
+                out += value.named_tensors(f"{prefix}{name}.")
+            elif isinstance(value, list):
+                for i, mod in enumerate(value):
+                    out += mod.named_tensors(f"{prefix}{name}.{i}.")
+        return out
+
+
+class Linear(Module):
     """Dense map x @ W + b, initialized uniform in +-1/sqrt(fan_in)."""
 
     def __init__(self, rng, in_dim, out_dim):
@@ -89,11 +114,8 @@ class Linear:
     def __call__(self, x):
         return bias_add(matmul(x, self.weight), self.bias)
 
-    def named_tensors(self):
-        return [("weight", self.weight), ("bias", self.bias)]
 
-
-class BatchNorm:
+class BatchNorm(Module):
     """Per-feature normalization over the nodes of the current graph.
 
     Training and evaluation both use the graph's own statistics, so the
@@ -107,24 +129,8 @@ class BatchNorm:
     def __call__(self, x):
         return batch_norm(x, self.gamma, self.beta)
 
-    def named_tensors(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
 
-
-def residual_wrap(layer_output, layer_input):
-    """Identity skip connection: layer_output + layer_input (equal widths)."""
-    return add(layer_output, layer_input)
-
-
-class _Layer:
-    def named_tensors(self):
-        out = []
-        for name, mod in self._modules:
-            out.extend((f"{name}.{k}", t) for k, t in mod.named_tensors())
-        return out
-
-
-class VrnnLayer(_Layer):
+class VrnnLayer(Module):
     """Fixed-point iteration of a two-level perceptron over in-edges.
 
     Starting from h = 0, each step recomputes every node as the sum over
@@ -141,10 +147,6 @@ class VrnnLayer(_Layer):
         self.mid_map = Linear(rng, hidden_dim, hidden_dim)
         self.out_map = Linear(rng, hidden_dim, hidden_dim)
         self.norm = BatchNorm(hidden_dim) if use_norm else None
-        self._modules = [("input_map", self.input_map), ("state_map", self.state_map),
-                         ("mid_map", self.mid_map), ("out_map", self.out_map)]
-        if self.norm:
-            self._modules.append(("norm", self.norm))
 
     def __call__(self, x, adj):
         n = x.data.shape[0]
@@ -161,13 +163,12 @@ class VrnnLayer(_Layer):
         return h
 
 
-class GgnnLayer(_Layer):
+class GgnnLayer(Module):
     """GRU cell whose neighborhood input is the plain neighbor sum; h starts at x."""
 
     arch = "ggnn"
 
     def __init__(self, rng, hidden_dim, inner_steps, use_norm=True):
-        self.hidden_dim = hidden_dim
         self.inner_steps = inner_steps
         self.update_in = Linear(rng, hidden_dim, hidden_dim)
         self.update_nb = Linear(rng, hidden_dim, hidden_dim)
@@ -176,11 +177,6 @@ class GgnnLayer(_Layer):
         self.cand_in = Linear(rng, hidden_dim, hidden_dim)
         self.cand_nb = Linear(rng, hidden_dim, hidden_dim)
         self.norm = BatchNorm(hidden_dim) if use_norm else None
-        self._modules = [("update_in", self.update_in), ("update_nb", self.update_nb),
-                         ("reset_in", self.reset_in), ("reset_nb", self.reset_nb),
-                         ("cand_in", self.cand_in), ("cand_nb", self.cand_nb)]
-        if self.norm:
-            self._modules.append(("norm", self.norm))
 
     def __call__(self, x, adj):
         h = x
@@ -195,7 +191,7 @@ class GgnnLayer(_Layer):
         return h
 
 
-class GlstmLayer(_Layer):
+class GlstmLayer(Module):
     """LSTM cell over the neighbor sum with a sigmoid forget gate per edge.
 
     h and c start at zero each layer; the layer input x feeds every gate at
@@ -220,12 +216,6 @@ class GlstmLayer(_Layer):
         self.forget_in = Linear(rng, hidden_dim, hidden_dim)
         self.forget_nb = Linear(rng, hidden_dim, hidden_dim)
         self.norm = BatchNorm(hidden_dim) if use_norm else None
-        self._modules = [("in_gate_in", self.in_gate_in), ("in_gate_nb", self.in_gate_nb),
-                         ("out_gate_in", self.out_gate_in), ("out_gate_nb", self.out_gate_nb),
-                         ("cell_in", self.cell_in), ("cell_nb", self.cell_nb),
-                         ("forget_in", self.forget_in), ("forget_nb", self.forget_nb)]
-        if self.norm:
-            self._modules.append(("norm", self.norm))
 
     def __call__(self, x, adj):
         n = x.data.shape[0]
@@ -252,7 +242,7 @@ class GlstmLayer(_Layer):
         return h
 
 
-class ConvLayer(_Layer):
+class ConvLayer(Module):
     """ReLU(U h_i + sum_j eta_ij * V h_j) and its two reductions.
 
     gated_gcn keeps both terms; commnet drops the edge gates and aggregates
@@ -273,20 +263,13 @@ class ConvLayer(_Layer):
         self.gated = arch != "commnet"
         # draws center, neighbor, gate_center, gate_neighbor in that order, skipping
         # absent ones: seeded runs and their golden loss series depend on it
-        self._modules = []
         if self.centered:
             self.center = Linear(rng, hidden_dim, hidden_dim)
-            self._modules.append(("center", self.center))
         self.neighbor = Linear(rng, hidden_dim, hidden_dim)
-        self._modules.append(("neighbor", self.neighbor))
         if self.gated:
             self.gate_center = Linear(rng, hidden_dim, hidden_dim)
             self.gate_neighbor = Linear(rng, hidden_dim, hidden_dim)
-            self._modules += [("gate_center", self.gate_center),
-                              ("gate_neighbor", self.gate_neighbor)]
         self.norm = BatchNorm(hidden_dim) if use_norm else None
-        if self.norm:
-            self._modules.append(("norm", self.norm))
 
     def __call__(self, h, adj, gates=None):
         if not self.gated:
@@ -319,7 +302,7 @@ def make_layer(arch, rng, hidden_dim, inner_steps, use_norm):
     return _RECURRENT_LAYERS[arch](rng, hidden_dim, inner_steps, use_norm)
 
 
-class GraphModel:
+class GraphModel(Module):
     """Input embedding, a stack of identical-width layers, and a linear readout."""
 
     def __init__(self, config: ModelConfig, seed=0):
@@ -341,16 +324,8 @@ class GraphModel:
         h = self.embed(Tensor(np.asarray(features, dtype=np.float64)))
         for layer in self.layers:
             out = layer(h, adj)
-            h = residual_wrap(out, h) if self.config.residual else out
+            h = add(out, h) if self.config.residual else out
         return self.readout(h)
-
-    def named_tensors(self):
-        out = [("embed.weight", self.embed.weight), ("embed.bias", self.embed.bias)]
-        for i, layer in enumerate(self.layers):
-            out.extend((f"layers.{i}.{k}", t) for k, t in layer.named_tensors())
-        out.extend([("readout.weight", self.readout.weight),
-                    ("readout.bias", self.readout.bias)])
-        return out
 
     def parameters(self):
         return dict(self.named_tensors())

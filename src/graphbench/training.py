@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ContractError, TrainingDivergedError
 from .generators import (
     TASK_CLUSTERING,
+    TASK_DIMS,
     TASK_MATCHING,
     TASKS,
     make_clustering_instance,
@@ -38,18 +39,20 @@ GLSTM_SGD_LR = {TASK_MATCHING: 0.075, TASK_CLUSTERING: 0.0075}
 
 def task_dims(task):
     """(input_dim, n_classes) for a task name."""
-    if task == TASK_MATCHING:
-        return 3, 2
-    if task == TASK_CLUSTERING:
-        return 11, 10
-    raise ContractError(f"unknown task {task!r}")
+    if task not in TASK_DIMS:
+        raise ContractError(f"unknown task {task!r}")
+    return TASK_DIMS[task]
 
 
 def default_optimizer(arch, task):
     """Per-architecture training defaults: SGD for glstm, Adam otherwise."""
-    if arch == "glstm":
-        return "sgd", GLSTM_SGD_LR[task]
-    return "adam", ADAM_DEFAULT_LR
+    kind = "sgd" if arch == "glstm" else "adam"
+    return kind, default_lr(kind, task)
+
+
+def default_lr(kind, task):
+    """Initial rate of an optimizer given none: the glstm SGD rate, or Adam's."""
+    return GLSTM_SGD_LR[task] if kind == "sgd" else ADAM_DEFAULT_LR
 
 
 class Sgd:
@@ -270,10 +273,9 @@ def train(config: ModelConfig, settings: TrainSettings):
 
     kind, lr0 = (settings.optimizer, settings.learning_rate)
     if kind == "auto":
-        kind, auto_lr = default_optimizer(config.arch, settings.task)
-        lr0 = auto_lr if lr0 is None else lr0
-    elif lr0 is None:
-        _, lr0 = default_optimizer(config.arch, settings.task)
+        kind, _ = default_optimizer(config.arch, settings.task)
+    if lr0 is None:
+        lr0 = default_lr(kind, settings.task)
     opt = make_optimizer(kind, lr0)
     sched = PlateauSchedule(lr0)
 

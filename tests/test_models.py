@@ -16,7 +16,6 @@ from graphbench.models import (
     ModelConfig,
     VrnnLayer,
     count_params,
-    residual_wrap,
     solve_hidden_for_budget,
 )
 from graphbench.seeding import derive_seed
@@ -63,6 +62,31 @@ def test_count_params_matches_constructed_model():
             cfg = config_for(arch, use_norm=use_norm)
             model = GraphModel(cfg, seed=1)
             assert model.num_params() == count_params(cfg), arch
+
+
+# the maps of one layer, in the order their parameters are named and drawn
+LAYER_MAPS = {
+    "vrnn": ("input_map", "state_map", "mid_map", "out_map"),
+    "ggnn": ("update_in", "update_nb", "reset_in", "reset_nb", "cand_in", "cand_nb"),
+    "glstm": ("in_gate_in", "in_gate_nb", "out_gate_in", "out_gate_nb",
+              "cell_in", "cell_nb", "forget_in", "forget_nb"),
+    "commnet": ("center", "neighbor"),
+    "edge_gcn": ("neighbor", "gate_center", "gate_neighbor"),
+    "gated_gcn": ("center", "neighbor", "gate_center", "gate_neighbor"),
+}
+
+
+def test_parameter_names_are_the_checkpoint_format():
+    for arch in ARCHITECTURES:
+        for use_norm in (True, False):
+            layer = [f"{m}.{p}" for m in LAYER_MAPS[arch] for p in ("weight", "bias")]
+            if use_norm:
+                layer += ["norm.gamma", "norm.beta"]
+            expect = (["embed.weight", "embed.bias"]
+                      + [f"layers.{i}.{k}" for i in range(2) for k in layer]
+                      + ["readout.weight", "readout.bias"])
+            model = GraphModel(config_for(arch, use_norm=use_norm), seed=1)
+            assert [k for k, _ in model.named_tensors()] == expect, (arch, use_norm)
 
 
 def test_budget_solver_maximal():
@@ -274,10 +298,6 @@ def test_vrnn_zero_output_map_is_silent():
 
 
 def test_residual_wrap_and_model_flag():
-    a = Tensor(np.ones((2, 3)))
-    b = Tensor(np.full((2, 3), 2.0))
-    assert np.array_equal(residual_wrap(a, b).data, np.full((2, 3), 3.0))
-
     graph = small_graph(8)
     feats = np.random.default_rng(2).normal(size=(graph.n_nodes, 5))
     for residual in (True, False):

@@ -9,6 +9,7 @@ from graphbench.models import ModelConfig
 from graphbench.tensor import Tape, Tensor, backward
 from graphbench.training import (
     ADAM_DEFAULT_LR,
+    GLSTM_SGD_LR,
     Adam,
     PlateauSchedule,
     Sgd,
@@ -155,6 +156,16 @@ def test_train_resolves_auto_optimizer():
                                          eval_instances=1))
     assert report.optimizer_kind == "adam"
     assert report.initial_lr == ADAM_DEFAULT_LR
+
+
+def test_explicit_optimizer_defaults_to_its_own_rate():
+    # the rate follows the chosen optimizer, not the architecture's default one
+    for arch, kind, lr in (("glstm", "adam", ADAM_DEFAULT_LR),
+                           ("gated_gcn", "sgd", GLSTM_SGD_LR["clustering"])):
+        report, _ = train(tiny_config(arch, task="clustering"),
+                          TrainSettings(task="clustering", n_iters=1,
+                                        eval_instances=1, optimizer=kind))
+        assert (report.optimizer_kind, report.initial_lr) == (kind, lr), arch
 
 
 def test_train_is_deterministic():
