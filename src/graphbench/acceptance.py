@@ -111,13 +111,13 @@ def ensure_dirichlet(base):
     return record
 
 
-def ensure_all(workers=1, log=print):
+def ensure_all(workers=1):
     """Compute every missing acceptance artifact; finished ones are reused."""
     base = results_dir()
     os.makedirs(base, exist_ok=True)
-    log(f"acceptance results dir: {base}")
+    print(f"acceptance results dir: {base}")
     ensure_dirichlet(base)
-    log("dirichlet baseline done")
+    print("dirichlet baseline done")
     jobs = [
         ("resgated", residual_clustering_spec()),
         ("plaingated", plain_clustering_spec()),
@@ -129,11 +129,11 @@ def ensure_all(workers=1, log=print):
         out = os.path.join(base, label)
         summary = run_experiment(spec, out, workers=workers)
         for g in summary["groups"]:
-            log(f"{label}: {g['architecture']} value={g['sweep_value']} "
-                f"acc {g['accuracy_mean']:.4f} +- {g['accuracy_std']:.4f}")
+            print(f"{label}: {g['architecture']} value={g['sweep_value']} "
+                  f"acc {g['accuracy_mean']:.4f} +- {g['accuracy_std']:.4f}")
     ensure_timing(base)
-    log("batch timing done")
-    log("acceptance artifacts complete")
+    print("batch timing done")
+    print("acceptance artifacts complete")
 
 
 if __name__ == "__main__":

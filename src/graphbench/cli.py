@@ -25,6 +25,7 @@ from .experiments import (
     run_experiment,
 )
 from .generators import (
+    SBM_STATS_MIN_GRAPHS,
     TASK_MATCHING,
     TASKS,
     make_clustering_instance,
@@ -117,7 +118,7 @@ def cmd_gen(args):
     for k, inst in enumerate(instances):
         save_instance(inst, os.path.join(args.out, f"instance-{k:04d}.txt"))
     print(f"wrote {len(instances)} {args.task} instances to {args.out}")
-    if args.count >= 100:
+    if args.count >= SBM_STATS_MIN_GRAPHS:
         stats = validate_sbm_stats([i.graph for i in instances],
                                    intra_p=0.5, inter_q=args.q)
         print(f"intra density {stats.intra_density:.4f} (z={stats.intra_z:+.2f}), "
@@ -154,7 +155,6 @@ def cmd_train(args):
     os.makedirs(args.out, exist_ok=True)
     state_path = os.path.join(args.out, "report.json")
     key = _train_state_key(config, settings)
-    report = None
     if os.path.exists(state_path):
         with open(state_path, encoding="utf-8") as fh:
             stored = json.load(fh)
@@ -163,7 +163,7 @@ def cmd_train(args):
                 f"{args.out} holds a different run; use a fresh out dir")
         report = TrainReport.from_state(stored["report"])
         print("reusing completed run state")
-    if report is None:
+    else:
         report, model = train(config, settings)
         model.save(os.path.join(args.out, "model.npz"))
         write_json(state_path, {"key": key, "report": report.to_state()})

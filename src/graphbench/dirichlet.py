@@ -122,7 +122,7 @@ class DirichletResult:
     cg_iterations: list
 
 
-def dirichlet_assign(graph, seed_mask, seed_labels, n_classes, tol=CG_TOL):
+def dirichlet_assign(graph, seed_mask, seed_labels, n_classes):
     """Assign every node a class by harmonic extension of the seed labels.
 
     ``seed_labels`` is a full-length int array consulted where ``seed_mask``
@@ -162,7 +162,7 @@ def dirichlet_assign(graph, seed_mask, seed_labels, n_classes, tol=CG_TOL):
         lul = free_rows[:, seed_mask].tocsr()
         indicators = (labels[:, None] == np.arange(n_classes)).astype(float)
         iters = np.zeros(n_classes, dtype=np.int64)
-        x, _ = jacobi_pcg(luu, (-lul) @ indicators, tol=tol, column_iterations=iters)
+        x, _ = jacobi_pcg(luu, (-lul) @ indicators, column_iterations=iters)
         potentials[solve_mask] = x
         cg_iters = iters.tolist()
 

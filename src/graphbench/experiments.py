@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .dirichlet import CG_TOL, dirichlet_assign
+from .dirichlet import dirichlet_assign
 from .errors import BudgetError, ContractError, SolverError, TrainingDivergedError
 from .generators import TASKS, make_clustering_instance
 from .models import ARCHITECTURES, GraphModel, ModelConfig, solve_hidden_for_budget
@@ -43,6 +43,7 @@ from .training import (
     train,
     weighted_loss,
     write_json,
+    write_text,
 )
 
 SWEEP_KINDS = ("noise", "layers", "budget", "inner_steps", "learning_speed")
@@ -311,7 +312,7 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers=1):
 
     summary = _summarize(spec, cells, timings)
     write_json(os.path.join(out_dir, "summary.json"), summary)
-    _write_results_csv(spec, summary, os.path.join(out_dir, "results.csv"))
+    _write_results_csv(summary, os.path.join(out_dir, "results.csv"))
     if spec.sweep == "learning_speed":
         _write_curves_csv(spec, cells, os.path.join(out_dir, "learning_speed.csv"))
     return summary
@@ -353,7 +354,7 @@ def _fmt_float(x, digits=6):
     return f"{x:.{digits}f}"
 
 
-def _write_results_csv(spec, summary, path):
+def _write_results_csv(summary, path):
     lines = ["# graphbench results v1",
              "architecture,sweep_value,accuracy_mean,accuracy_std,batch_time_ms"]
     for g in summary["groups"]:
@@ -361,8 +362,7 @@ def _write_results_csv(spec, summary, path):
             f"{g['architecture']},{g['sweep_value']},"
             f"{_fmt_float(g['accuracy_mean'])},{_fmt_float(g['accuracy_std'])},"
             f"{_fmt_float(g['batch_time_ms'], 3)}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_curves_csv(spec, cells, path):
@@ -376,8 +376,7 @@ def _write_curves_csv(spec, cells, path):
                     continue
                 for seconds, acc in rec.get("accuracy_curve", []):
                     lines.append(f"{arch},{t},{seconds:.3f},{acc:.6f}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +385,15 @@ def _write_curves_csv(spec, cells, path):
 _KEY_TYPES = {f.name: f.type for f in fields(ExperimentSpec)}
 
 
-def _parse_number(token):
-    try:
-        return int(token)
-    except ValueError:
-        return float(token)
+def _convert(kinds, token, key, lineno):
+    """token as the first of ``kinds`` that accepts it, else a ContractError."""
+    for kind in kinds:
+        try:
+            return kind(token)
+        except ValueError:
+            pass
+    names = " or ".join(kind.__name__ for kind in kinds)
+    raise ContractError(f"line {lineno}: {key} expects {names}, got {token!r}")
 
 
 def parse_experiment_text(text):
@@ -411,7 +414,7 @@ def parse_experiment_text(text):
         if key == "archs":
             spec[key] = tuple(v.strip() for v in value.split(",") if v.strip())
         elif key == "values":
-            spec[key] = tuple(_parse_number(v.strip())
+            spec[key] = tuple(_convert((int, float), v.strip(), key, lineno)
                               for v in value.split(",") if v.strip())
         elif kind is None:
             raise ContractError(f"line {lineno}: unknown key {key!r}")
@@ -420,7 +423,8 @@ def parse_experiment_text(text):
                 raise ContractError(f"line {lineno}: {key} must be true or false")
             spec[key] = value == "true"
         else:
-            spec[key] = kind(value)  # int, float or str, as ExperimentSpec declares
+            # int, float or str, as ExperimentSpec declares
+            spec[key] = _convert((kind,), value, key, lineno)
     if spec.get("sweep") == "learning_speed" and "values" not in spec:
         spec["values"] = (0,)
     missing = {"name", "sweep", "task", "archs", "values"} - set(spec)
@@ -437,14 +441,14 @@ def parse_experiment_file(path):
 # ---------------------------------------------------------------------------
 # the non-learned baseline
 
-def run_dirichlet_baseline(q_noise, n_instances, seed, tol=CG_TOL):
+def run_dirichlet_baseline(q_noise, n_instances, seed):
     """Mean accuracy of harmonic label propagation on fresh clustering graphs."""
     accs = []
     flagged_total = 0
     for k in range(n_instances):
         inst = make_clustering_instance(q_noise, derive_seed(seed, "dirichlet", k))
         res = dirichlet_assign(inst.graph, inst.seed_mask, inst.targets,
-                               n_classes=inst.n_classes, tol=tol)
+                               n_classes=inst.n_classes)
         accs.append(accuracy(res.assignment, inst.targets))
         flagged_total += int(res.flagged.sum())
     return {

@@ -37,6 +37,7 @@ HOST_INTRA_P = 0.5
 CLUSTER_COMMUNITIES = 10
 CLUSTER_SIZE_RANGE = (5, 25)
 CLUSTER_INTRA_P = 0.5
+SBM_STATS_MIN_GRAPHS = 100  # fewest graphs validate_sbm_stats pools
 # (input_dim, n_classes) per task, matching TaskInstance.node_features
 TASK_DIMS = {TASK_MATCHING: (N_SIGNALS, 2),
              TASK_CLUSTERING: (CLUSTER_COMMUNITIES + 1, CLUSTER_COMMUNITIES)}
@@ -354,16 +355,16 @@ def _z_score(edges, possible, prob):
     return float((edges - mean) / sd)
 
 
-def validate_sbm_stats(graphs, intra_p, inter_q, min_samples=100):
+def validate_sbm_stats(graphs, intra_p, inter_q):
     """Pooled intra/inter edge-density check against the target probabilities.
 
     Densities are binomial proportions, so the pooled z-scores should stay
     small; |z| > 4 raises a flag rather than an exception because a single
     extreme draw is legitimate.
     """
-    if len(graphs) < min_samples:
+    if len(graphs) < SBM_STATS_MIN_GRAPHS:
         raise InsufficientSamplesError(
-            f"need at least {min_samples} graphs, got {len(graphs)}")
+            f"need at least {SBM_STATS_MIN_GRAPHS} graphs, got {len(graphs)}")
     intra_edges = inter_edges = 0
     intra_possible = inter_possible = 0
     for g in graphs:

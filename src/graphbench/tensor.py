@@ -13,8 +13,11 @@ its tape each iteration runs in constant memory. The flip side: to call
 :func:`backward` after the ``with`` block ends, keep the tape bound to a
 variable until then.
 
-Outside a tape, the same operations run forward-only with no recording,
-which is how evaluation passes avoid autodiff overhead.
+Every differentiable op has one form: it checks its inputs, computes its
+output, and returns ``_result(data, inputs, rule)``, where ``rule(g, acc)``
+turns the output gradient into ``acc(input, grad)`` calls. A tape entry is
+that ``(out, rule)`` pair. Outside a tape the rule is never recorded, which
+is how evaluation passes avoid autodiff overhead.
 
 Gradient arrays are shared, not copied: :func:`backward` may hand one
 array to several leaves (both inputs of an ``add`` get the same ``.grad``).
@@ -115,22 +118,19 @@ class Tape:
 _TAPE_STACK = []
 
 
-def active_tape():
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+def _result(data, inputs, rule):
+    """Wrap an op's output; record (out, rule) if a tape needs it.
 
-
-def _result(data, inputs, make_backward):
-    """Create an op result; record a backward rule if a tape is active.
-
-    make_backward is called lazily (only when recording) and must return
-    a function mapping the output gradient to calls of acc(input, grad).
+    ``rule(g, acc)`` maps the output gradient ``g`` to calls of
+    ``acc(input, grad)``. It is recorded only while a tape is active and
+    some input requires a gradient; otherwise it is dropped unused.
     """
-    tape = active_tape()
+    tape = _TAPE_STACK[-1] if _TAPE_STACK else None
     needs = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=needs)
     if needs:
         out._tape = tape._self_ref
-        tape.ops.append((out, make_backward()))
+        tape.ops.append((out, rule))
     return out
 
 
@@ -195,50 +195,38 @@ def matmul(a, b):
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
     data = a.data @ b.data
 
-    def make():
-        def rule(g, acc):
-            acc(a, g @ b.data.T)
-            acc(b, a.data.T @ g)
+    def rule(g, acc):
+        acc(a, g @ b.data.T)
+        acc(b, a.data.T @ g)
 
-        return rule
-
-    return _result(data, (a, b), make)
+    return _result(data, (a, b), rule)
 
 
 def add(a, b):
     _check_same_shape(a, b, "add")
 
-    def make():
-        def rule(g, acc):
-            acc(a, g)
-            acc(b, g)
+    def rule(g, acc):
+        acc(a, g)
+        acc(b, g)
 
-        return rule
-
-    return _result(a.data + b.data, (a, b), make)
+    return _result(a.data + b.data, (a, b), rule)
 
 
 def hadamard(a, b):
     _check_same_shape(a, b, "hadamard")
 
-    def make():
-        def rule(g, acc):
-            acc(a, g * b.data)
-            acc(b, g * a.data)
+    def rule(g, acc):
+        acc(a, g * b.data)
+        acc(b, g * a.data)
 
-        return rule
-
-    return _result(a.data * b.data, (a, b), make)
+    return _result(a.data * b.data, (a, b), rule)
 
 
 def one_minus(x):
-    def make():
-        def rule(g, acc):
-            acc(x, -g)
+    def rule(g, acc):
+        acc(x, -g)
 
-        return rule
-
-    return _result(1.0 - x.data, (x,), make)
+    return _result(1.0 - x.data, (x,), rule)
 
 
 def bias_add(x, b):
@@ -249,14 +237,11 @@ def bias_add(x, b):
     if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"bias_add: shapes {x.data.shape} and {b.data.shape}")
 
-    def make():
-        def rule(g, acc):
-            acc(x, g)
-            acc(b, g.sum(axis=0))
+    def rule(g, acc):
+        acc(x, g)
+        acc(b, g.sum(axis=0))
 
-        return rule
-
-    return _result(x.data + b.data, (x, b), make)
+    return _result(x.data + b.data, (x, b), rule)
 
 
 def _logistic(z, out):
@@ -270,51 +255,37 @@ def _logistic(z, out):
 def sigmoid(x):
     data = _logistic(x.data, np.empty_like(x.data))
 
-    def make():
-        def rule(g, acc):
-            gx = g * data
-            gx *= 1.0 - data
-            acc(x, gx)
+    def rule(g, acc):
+        gx = g * data
+        gx *= 1.0 - data
+        acc(x, gx)
 
-        return rule
-
-    return _result(data, (x,), make)
+    return _result(data, (x,), rule)
 
 
 def tanh(x):
     data = np.tanh(x.data)
 
-    def make():
-        def rule(g, acc):
-            acc(x, g * (1.0 - data * data))
+    def rule(g, acc):
+        acc(x, g * (1.0 - data * data))
 
-        return rule
-
-    return _result(data, (x,), make)
+    return _result(data, (x,), rule)
 
 
 def relu(x):
     data = np.maximum(x.data, 0.0)
 
-    def make():
-        mask = x.data > 0.0
+    def rule(g, acc):
+        acc(x, g * (x.data > 0.0))
 
-        def rule(g, acc):
-            acc(x, g * mask)
-
-        return rule
-
-    return _result(data, (x,), make)
+    return _result(data, (x,), rule)
 
 
 def sum_all(x):
-    def make():
-        def rule(g, acc):
-            acc(x, np.full_like(x.data, float(g)))
+    def rule(g, acc):
+        acc(x, np.full_like(x.data, float(g)))
 
-        return rule
-
-    return _result(np.asarray(x.data.sum()), (x,), make)
+    return _result(np.asarray(x.data.sum()), (x,), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +310,10 @@ def gather_rows(x, adj, endpoint):
     _check_node_rows(x, adj, "gather_rows")
     idx = adj.endpoint(endpoint)
 
-    def make():
-        def rule(g, acc):
-            acc(x, kernels.scatter_rows(g, adj, endpoint))
+    def rule(g, acc):
+        acc(x, kernels.scatter_rows(g, adj, endpoint))
 
-        return rule
-
-    return _result(x.data[idx], (x,), make)
+    return _result(x.data[idx], (x,), rule)
 
 
 def scatter_rows(x, adj, endpoint):
@@ -356,13 +324,10 @@ def scatter_rows(x, adj, endpoint):
             f"for {adj.n_edges} edges")
     idx = adj.endpoint(endpoint)
 
-    def make():
-        def rule(g, acc):
-            acc(x, g[idx])
+    def rule(g, acc):
+        acc(x, g[idx])
 
-        return rule
-
-    return _result(kernels.scatter_rows(x.data, adj, endpoint), (x,), make)
+    return _result(kernels.scatter_rows(x.data, adj, endpoint), (x,), rule)
 
 
 def neighbor_sum(h, adj):
@@ -370,13 +335,10 @@ def neighbor_sum(h, adj):
     _check_node_rows(h, adj, "neighbor_sum")
     data = kernels.neighbor_sum(h.data, adj, "dst")
 
-    def make():
-        def rule(g, acc):
-            acc(h, kernels.neighbor_sum(g, adj, "src"))
+    def rule(g, acc):
+        acc(h, kernels.neighbor_sum(g, adj, "src"))
 
-        return rule
-
-    return _result(data, (h,), make)
+    return _result(data, (h,), rule)
 
 
 def gated_neighbor_sum(h, gates, adj):
@@ -390,14 +352,11 @@ def gated_neighbor_sum(h, gates, adj):
         )
     data = kernels.gated_neighbor_sum(h.data, gates.data, adj, "dst")
 
-    def make():
-        def rule(g, acc):
-            acc(h, kernels.gated_neighbor_sum(g, gates.data, adj, "src"))
-            acc(gates, h.data[adj.src] * g[adj.dst])
+    def rule(g, acc):
+        acc(h, kernels.gated_neighbor_sum(g, gates.data, adj, "src"))
+        acc(gates, h.data[adj.src] * g[adj.dst])
 
-        return rule
-
-    return _result(data, (h, gates), make)
+    return _result(data, (h, gates), rule)
 
 
 def gated_aggregate(center, neighbor, values, adj):
@@ -425,18 +384,15 @@ def gated_aggregate(center, neighbor, values, adj):
     _logistic(gates, gates)
     data = kernels.gated_neighbor_sum(values.data, gates, adj, "dst")
 
-    def make():
-        def rule(g, acc):
-            acc(values, kernels.gated_neighbor_sum(g, gates, adj, "src"))
-            gx = values.data[src] * g[adj.dst]
-            gx *= gates
-            gx *= 1.0 - gates
-            acc(center, gx)
-            acc(neighbor, kernels.scatter_rows(gx, adj, "src"))
+    def rule(g, acc):
+        acc(values, kernels.gated_neighbor_sum(g, gates, adj, "src"))
+        gx = values.data[src] * g[adj.dst]
+        gx *= gates
+        gx *= 1.0 - gates
+        acc(center, gx)
+        acc(neighbor, kernels.scatter_rows(gx, adj, "src"))
 
-        return rule
-
-    return _result(data, (center, neighbor, values), make)
+    return _result(data, (center, neighbor, values), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +420,15 @@ def batch_norm(x, gamma, beta):
     xhat = (x.data - mean) * inv_std
     data = xhat * gamma.data + beta.data
 
-    def make():
-        def rule(g, acc):
-            acc(gamma, (g * xhat).sum(axis=0))
-            acc(beta, g.sum(axis=0))
-            gx = g * gamma.data
-            acc(x, inv_std / n * (
-                n * gx - gx.sum(axis=0) - xhat * (gx * xhat).sum(axis=0)
-            ))
+    def rule(g, acc):
+        acc(gamma, (g * xhat).sum(axis=0))
+        acc(beta, g.sum(axis=0))
+        gx = g * gamma.data
+        acc(x, inv_std / n * (
+            n * gx - gx.sum(axis=0) - xhat * (gx * xhat).sum(axis=0)
+        ))
 
-        return rule
-
-    return _result(data, (x, gamma, beta), make)
+    return _result(data, (x, gamma, beta), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +467,9 @@ def softmax_cross_entropy(logits, targets, class_weights, mask=None):
     per_node = -log_p[np.arange(n), targets]
     data = np.asarray((w * per_node).sum() / w_total)
 
-    def make():
-        def rule(g, acc):
-            p = np.exp(log_p)
-            p[np.arange(n), targets] -= 1.0
-            acc(logits, p * (float(g) * w / w_total)[:, None])
+    def rule(g, acc):
+        p = np.exp(log_p)
+        p[np.arange(n), targets] -= 1.0
+        acc(logits, p * (float(g) * w / w_total)[:, None])
 
-        return rule
-
-    return _result(data, (logits,), make)
+    return _result(data, (logits,), rule)

@@ -34,7 +34,15 @@ from .seeding import derive_seed
 from .tensor import backward, softmax_cross_entropy, Tape
 
 ADAM_DEFAULT_LR = 0.00075
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 GLSTM_SGD_LR = {TASK_MATCHING: 0.075, TASK_CLUSTERING: 0.0075}
+
+# the plateau schedule's block, the timed block and the rolling-loss window
+LOSS_BLOCK_ITERS = 100
+LR_DECAY_FACTOR = 1.25
+MIN_LR = 1e-6
 
 
 def task_dims(task):
@@ -71,19 +79,16 @@ class Sgd:
 class Adam:
     kind = "adam"
 
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr):
         self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {}
         self.v = {}
 
     def step(self, params):
         self.t += 1
-        correct1 = 1.0 - self.beta1 ** self.t
-        correct2 = 1.0 - self.beta2 ** self.t
+        correct1 = 1.0 - ADAM_BETA1 ** self.t
+        correct2 = 1.0 - ADAM_BETA2 ** self.t
         for name, p in params.items():
             if p.grad is None:
                 continue
@@ -93,11 +98,11 @@ class Adam:
                 self.v[name] = np.zeros_like(p.data)
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p.data -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
 
 
 def make_optimizer(kind, lr):
@@ -109,19 +114,17 @@ def make_optimizer(kind, lr):
 
 
 class PlateauSchedule:
-    """Divide the rate by 1.25 whenever block-mean loss stops strictly falling.
+    """Decay the rate whenever block-mean loss stops strictly falling.
 
-    Blocks are consecutive non-overlapping windows of ``window`` iterations.
-    After a decay the next comparison waits until two fresh blocks exist
-    (a ``2 * window`` iteration cooldown), so both sides of the comparison
-    are measured at the new rate. The rate never drops below ``floor``.
+    Blocks are consecutive non-overlapping runs of LOSS_BLOCK_ITERS
+    iterations; a decay divides the rate by LR_DECAY_FACTOR. After a decay
+    the next comparison waits until two fresh blocks exist (a two-block
+    cooldown), so both sides of the comparison are measured at the new
+    rate. The rate never drops below MIN_LR.
     """
 
-    def __init__(self, lr0, window=100, factor=1.25, floor=1e-6):
+    def __init__(self, lr0):
         self.lr = float(lr0)
-        self.window = window
-        self.factor = factor
-        self.floor = floor
         self.block_means = []
         self._last_decay_len = None
 
@@ -135,7 +138,7 @@ class PlateauSchedule:
             return None
         if self.block_means[-1] < self.block_means[-2]:
             return None
-        new_lr = max(self.lr / self.factor, self.floor)
+        new_lr = max(self.lr / LR_DECAY_FACTOR, MIN_LR)
         if new_lr == self.lr:
             return None
         self.lr = new_lr
@@ -153,10 +156,10 @@ def class_weights_for(targets, n_classes):
     return weights
 
 
-def weighted_loss(logits, targets, n_classes, mask=None):
+def weighted_loss(logits, targets, n_classes):
     """Cross-entropy with inverse-frequency class weights from this graph."""
     weights = class_weights_for(targets, n_classes)
-    return softmax_cross_entropy(logits, targets, weights, mask=mask)
+    return softmax_cross_entropy(logits, targets, weights)
 
 
 def accuracy(logits_or_pred, targets):
@@ -226,16 +229,14 @@ class TrainReport:
     final_accuracy_std: float
     schema: str = field(default="graphbench-train-report v1")
 
-    def rolling_losses(self, window=100):
+    def rolling_losses(self):
         out = []
         csum = 0.0
-        buf = []
-        for v in self.losses:
-            buf.append(v)
+        for i, v in enumerate(self.losses):
             csum += v
-            if len(buf) > window:
-                csum -= buf.pop(0)
-            out.append(csum / len(buf))
+            if i >= LOSS_BLOCK_ITERS:
+                csum -= self.losses[i - LOSS_BLOCK_ITERS]
+            out.append(csum / min(i + 1, LOSS_BLOCK_ITERS))
         return out
 
     def time_per_100_iters_ms(self):
@@ -315,10 +316,10 @@ def train(config: ModelConfig, settings: TrainSettings):
         lrs.append(opt.lr)
         elapsed_ms.append(train_clock * 1000.0)
 
-        if it % 100 == 0:
+        if it % LOSS_BLOCK_ITERS == 0:
             block_time_ms.append(train_clock * 1000.0 - last_block_clock)
             last_block_clock = train_clock * 1000.0
-            new_lr = sched.observe(np.mean(losses[-100:]))
+            new_lr = sched.observe(np.mean(losses[-LOSS_BLOCK_ITERS:]))
             if new_lr is not None:
                 opt.lr = new_lr
                 decay_events.append((it, new_lr))
@@ -361,8 +362,7 @@ def write_series_csv(report: TrainReport, path):
     for i in range(len(report.losses)):
         lines.append(f"{i + 1},{report.losses[i]:.17g},{rolling[i]:.17g},"
                      f"{report.lrs[i]:.17g},{report.elapsed_ms[i]:.3f}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def summary_dict(report: TrainReport):
@@ -383,17 +383,21 @@ def summary_dict(report: TrainReport):
     }
 
 
-def write_json(path, payload):
-    """Write sorted, indented JSON with a trailing newline, atomically.
+def write_text(path, text):
+    """Write text as UTF-8 with its line ends untranslated, atomically.
 
-    The payload goes to ``path + ".tmp"`` first and is renamed over
+    The text goes to ``path + ".tmp"`` first and is renamed over
     ``path``, so a reader never sees a half-written file.
     """
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tmp = os.fspath(path) + ".tmp"
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
     os.replace(tmp, path)
+
+
+def write_json(path, payload):
+    """Write sorted, indented JSON with a trailing newline, atomically."""
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_summary_json(report: TrainReport, path):

@@ -90,6 +90,14 @@ def test_sweep_cli_roundtrip(tmp_path):
     assert (out / "results.csv").read_bytes() == results
 
 
+def test_sweep_cli_reports_malformed_number(tmp_path, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("name = bad\nsweep = layers\ntask = matching\n"
+                      "archs = commnet\nvalues = 1\ntrials = abc\nhidden_dim = 8\n")
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "error: line 6: trials expects int, got 'abc'" in capsys.readouterr().err
+
+
 def test_dirichlet_cli(tmp_path, capsys):
     out = tmp_path / "dirichlet.json"
     assert main(["dirichlet", "--count", "2", "--out", str(out)]) == 0

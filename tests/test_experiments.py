@@ -70,6 +70,17 @@ def test_parse_rejects_malformed_text():
         parse_experiment_text(good.replace("name=x\n", "") + "no equals here\n")
 
 
+@pytest.mark.parametrize("line", ["trials=abc", "values=1,x", "q_noise=high"])
+def test_parse_rejects_malformed_numbers_with_line_number(line):
+    good = "name=x\nsweep=layers\ntask=matching\narchs=commnet\nhidden_dim=8\n"
+    if not line.startswith("values="):
+        good += "values=1\n"
+    key = line.split("=")[0]
+    lineno = good.count("\n") + 1
+    with pytest.raises(ContractError, match=f"line {lineno}: {key} expects"):
+        parse_experiment_text(good + line + "\n")
+
+
 def test_spec_validation():
     with pytest.raises(ContractError):
         tiny_spec(sweep="width")

@@ -264,16 +264,18 @@ def test_glstm_forget_gate_runs_from_second_step(monkeypatch):
     assert len(calls) == 2
 
 
-def test_glstm_acceptance_step_tape_length():
-    # acceptance configuration (L=6, T=3): 413 tape entries, 24 fewer
-    # than with the forget gate on the first step
-    config = acceptance.timing_configs()["glstm"]
+@pytest.mark.parametrize("arch, entries", [("gated_gcn", 89), ("glstm", 413)])
+def test_acceptance_step_tape_length(arch, entries):
+    # acceptance configuration (L=6, T=3): one tape entry per differentiable
+    # op, so an op that records twice or not at all moves the count; glstm's
+    # 413 is 24 fewer than with the forget gate on the first step
+    config = acceptance.timing_configs()[arch]
     model = GraphModel(config, seed=1)
     inst = make_instance_fn("clustering", 0.1, 1)(derive_seed(1, "train", 0))
     with Tape() as tape:
         logits = model.forward(inst.node_features(), inst.graph.adjacency)
         weighted_loss(logits, inst.targets, config.n_classes)
-    assert len(tape.ops) == 413
+    assert len(tape.ops) == entries
 
 
 def test_commnet_zero_weights_yields_bias_rows():

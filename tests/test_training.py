@@ -10,6 +10,7 @@ from graphbench.tensor import Tape, Tensor, backward
 from graphbench.training import (
     ADAM_DEFAULT_LR,
     GLSTM_SGD_LR,
+    LOSS_BLOCK_ITERS,
     Adam,
     PlateauSchedule,
     Sgd,
@@ -118,7 +119,7 @@ def test_plateau_schedule_decay_cooldown():
 
 
 def test_plateau_schedule_floor():
-    sched = PlateauSchedule(1e-6, floor=1e-6)
+    sched = PlateauSchedule(1e-6)
     sched.observe(1.0)
     assert sched.observe(2.0) is None
     assert sched.lr == 1e-6
@@ -214,7 +215,22 @@ def test_report_state_roundtrip_renders_identically(tmp_path):
     write_series_csv(report, a)
     write_series_csv(revived, b)
     assert a.read_bytes() == b.read_bytes()
+    assert not list(tmp_path.glob("*.tmp"))  # written through a renamed temp file
     assert summary_dict(report) == summary_dict(revived)
+
+
+def test_rolling_losses_average_the_last_loss_block():
+    losses = list(np.random.default_rng(0).uniform(0.0, 3.0, 2 * LOSS_BLOCK_ITERS + 7))
+    report = TrainReport(
+        config=tiny_config(), settings=TrainSettings(task="matching"),
+        optimizer_kind="adam", initial_lr=0.1, losses=losses, lrs=[],
+        elapsed_ms=[], block_time_ms=[], decay_events=[], accuracy_curve=[],
+        eval_accuracies=[], final_accuracy=0.0, final_accuracy_std=0.0)
+    rolling = report.rolling_losses()
+    assert len(rolling) == len(losses)
+    for i in (0, LOSS_BLOCK_ITERS - 1, LOSS_BLOCK_ITERS, len(losses) - 1):
+        window = losses[max(0, i + 1 - LOSS_BLOCK_ITERS):i + 1]
+        assert rolling[i] == pytest.approx(np.mean(window), rel=1e-12)
 
 
 def test_evaluate_returns_per_instance_accuracies():
