@@ -45,8 +45,6 @@ from .generators import (
     make_clustering_instance,
     make_matching_instance,
     make_pattern,
-    save_graph,
-    save_instance,
     sbm_generate,
     validate_sbm_stats,
 )

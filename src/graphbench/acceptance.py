@@ -1,16 +1,15 @@
 """The shipped acceptance protocol: long-running benchmark configurations.
 
 The heavy acceptance checks (multi-trial 5000-iteration training runs,
-batch timing) take hours on one core, so their results are computed
-through the resumable experiment store under ``results/acceptance``
-(override with GRAPHBENCH_ACCEPTANCE_DIR) and the test suite reads the
-cached cells. Running this module as a script computes everything that is
-missing and touches nothing that is already done:
+batch timing) take hours on one core, so every result is a record of the
+one resumable store, ``training.stored_json``, under ``results/acceptance``
+(override with GRAPHBENCH_ACCEPTANCE_DIR), and the test suite reads the
+cached records. Running this module as a script computes everything that
+is missing and touches nothing that is already done:
 
     python3 -m graphbench.acceptance
 """
 
-import json
 import os
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .experiments import ExperimentSpec, batch_timer, run_dirichlet_baseline, run_experiment
 from .models import ModelConfig, solve_hidden_for_budget
 from .seeding import derive_seed
-from .training import task_dims, write_json
+from .training import stored_json, task_dims
 
 MASTER_SEED = 2026
 BUDGET = 100_000
@@ -77,11 +76,8 @@ def timing_configs():
     return out
 
 
-def ensure_timing(base):
-    path = os.path.join(base, "timing.json")
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+def measure_timing():
+    """Median of three interleaved batch timings of each timing contender."""
     configs = timing_configs()
     timers = {arch: batch_timer(config, "clustering", 0.1,
                                 seed=derive_seed(MASTER_SEED, "timing", arch))
@@ -97,18 +93,16 @@ def ensure_timing(base):
         record[arch] = {"batch_time_ms": float(np.median(repeat_ms[arch])),
                         "repeat_ms": repeat_ms[arch],
                         "hidden_dim": config.hidden_dim}
-    write_json(path, record)
     return record
+
+
+def ensure_timing(base):
+    return stored_json(os.path.join(base, "timing.json"), measure_timing)
 
 
 def ensure_dirichlet(base):
-    path = os.path.join(base, "dirichlet.json")
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    record = run_dirichlet_baseline(0.1, 100, seed=MASTER_SEED)
-    write_json(path, record)
-    return record
+    return stored_json(os.path.join(base, "dirichlet.json"),
+                       lambda: run_dirichlet_baseline(0.1, 100, seed=MASTER_SEED))
 
 
 def ensure_all(workers=1):

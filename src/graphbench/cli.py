@@ -11,8 +11,6 @@ state, so repeating a finished command reproduces its files byte-for-byte.
 """
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 from dataclasses import asdict
@@ -28,11 +26,11 @@ from .generators import (
     SBM_STATS_MIN_GRAPHS,
     TASK_MATCHING,
     TASKS,
+    graph_to_text,
+    instance_to_text,
     make_clustering_instance,
     make_matching_instance,
     make_pattern,
-    save_graph,
-    save_instance,
     validate_sbm_stats,
 )
 from .models import ModelConfig, solve_hidden_for_budget
@@ -40,11 +38,14 @@ from .seeding import derive_seed
 from .training import (
     TrainReport,
     TrainSettings,
+    record_key,
+    stored_json,
     task_dims,
     train,
     write_json,
     write_series_csv,
     write_summary_json,
+    write_text,
 )
 
 
@@ -84,8 +85,9 @@ def _add_sweep(sub):
     p = sub.add_parser("sweep", help="run an experiment grid from a spec file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
+    # a string default goes through type=int only when sweep is parsed
     p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("GRAPHBENCH_WORKERS", "1")))
+                   default=os.environ.get("GRAPHBENCH_WORKERS", "1"))
 
 
 def _add_dirichlet(sub):
@@ -106,7 +108,7 @@ def cmd_gen(args):
     instances = []
     if args.task == TASK_MATCHING:
         pattern = make_pattern(derive_seed(args.seed, "pattern"))
-        save_graph(pattern, os.path.join(args.out, "pattern.txt"))
+        write_text(os.path.join(args.out, "pattern.txt"), graph_to_text(pattern))
         for k in range(args.count):
             inst, _ = make_matching_instance(args.q, derive_seed(args.seed, "gen", k),
                                              pattern)
@@ -116,7 +118,8 @@ def cmd_gen(args):
             instances.append(make_clustering_instance(args.q,
                                                       derive_seed(args.seed, "gen", k)))
     for k, inst in enumerate(instances):
-        save_instance(inst, os.path.join(args.out, f"instance-{k:04d}.txt"))
+        write_text(os.path.join(args.out, f"instance-{k:04d}.txt"),
+                   instance_to_text(inst))
     print(f"wrote {len(instances)} {args.task} instances to {args.out}")
     if args.count >= SBM_STATS_MIN_GRAPHS:
         stats = validate_sbm_stats([i.graph for i in instances],
@@ -126,12 +129,6 @@ def cmd_gen(args):
         for flag in stats.flags:
             print(f"warning: {flag}")
     return 0
-
-
-def _train_state_key(config, settings):
-    payload = json.dumps({"config": asdict(config), "settings": asdict(settings)},
-                         sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def cmd_train(args):
@@ -154,19 +151,18 @@ def cmd_train(args):
 
     os.makedirs(args.out, exist_ok=True)
     state_path = os.path.join(args.out, "report.json")
-    key = _train_state_key(config, settings)
-    if os.path.exists(state_path):
-        with open(state_path, encoding="utf-8") as fh:
-            stored = json.load(fh)
-        if stored.get("key") != key:
-            raise ContractError(
-                f"{args.out} holds a different run; use a fresh out dir")
-        report = TrainReport.from_state(stored["report"])
-        print("reusing completed run state")
-    else:
+    key = record_key({"config": asdict(config), "settings": asdict(settings)})
+
+    def run():
         report, model = train(config, settings)
         model.save(os.path.join(args.out, "model.npz"))
-        write_json(state_path, {"key": key, "report": report.to_state()})
+        return {"key": key, "report": report.to_state()}
+
+    resumed = os.path.exists(state_path)
+    stored = stored_json(state_path, run, key=("key", key))
+    if resumed:
+        print("reusing completed run state")
+    report = TrainReport.from_state(stored["report"])
 
     write_series_csv(report, os.path.join(args.out, "series.csv"))
     write_summary_json(report, os.path.join(args.out, "summary.json"))
@@ -223,7 +219,7 @@ def main(argv=None):
     }[args.command]
     try:
         return handler(args)
-    except GraphbenchError as exc:
+    except (GraphbenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

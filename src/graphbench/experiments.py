@@ -1,11 +1,12 @@
 """Sweep orchestration: many training runs, one results table.
 
 An experiment is a grid of cells (architecture x sweep value x trial).
-Each finished cell is written to ``<out>/cells/*.json`` keyed by a hash of
-the experiment spec, so an interrupted sweep resumes where it stopped and
-a repeated run with the same master seed re-renders every output file
-byte-for-byte from the stored cells (wall-clock numbers are measured once
-and cached, never re-measured).
+``spec.json``, each finished cell and each batch timing are records of
+``training.stored_json`` under ``<out>``; a cell or timing carries the
+spec's hash and is refused in any other spec's directory. An interrupted
+sweep resumes where it stopped, and a repeated run with the same master
+seed re-renders every output file byte-for-byte from the stored records
+(wall-clock numbers are measured once and cached, never re-measured).
 
 Sweep kinds:
 
@@ -20,7 +21,6 @@ accuracy_std, batch_time_ms), ``summary.json`` (aggregates plus every cell
 record with its seed), and for learning_speed sweeps ``learning_speed.csv``.
 """
 
-import hashlib
 import json
 import os
 import time
@@ -39,6 +39,8 @@ from .training import (
     TrainSettings,
     accuracy,
     make_instance_fn,
+    record_key,
+    stored_json,
     task_dims,
     train,
     weighted_loss,
@@ -82,7 +84,7 @@ class ExperimentSpec:
         return json.dumps(asdict(self), sort_keys=True)
 
     def spec_hash(self):
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
+        return record_key(asdict(self))
 
 
 def validate_spec(spec):
@@ -234,18 +236,25 @@ def _timing_path(out_dir, arch, value):
     return os.path.join(out_dir, "cells", f"time-{arch}-v{_value_token(value)}.json")
 
 
-def _load_record(path, spec_hash):
-    with open(path, encoding="utf-8") as fh:
-        rec = json.load(fh)
-    if rec.get("spec_hash") != spec_hash:
-        raise ContractError(
-            f"{path} belongs to a different experiment spec; use a fresh out dir")
+def _timing_record(spec, arch, value):
+    """Batch timing of one (architecture, sweep value) group, or its error."""
+    rec = {
+        "schema": "graphbench-timing v1",
+        "spec_hash": spec.spec_hash(),
+        "arch": arch,
+        "sweep_value": value,
+    }
+    try:
+        config, _ = resolve_cell(spec, arch, value, 0)
+    except BudgetError as exc:
+        rec["error"] = f"BudgetError: {exc}"
+        return rec
+    q = float(value) if spec.sweep == "noise" else spec.q_noise
+    rec.update(measure_batch_time(
+        config, spec.task, q,
+        seed=derive_seed(spec.seed, spec.name, "timing", arch, value)))
+    rec["error"] = None
     return rec
-
-
-def _cell_worker(args):
-    spec_dict, arch, value, trial = args
-    return run_single_cell(ExperimentSpec(**spec_dict), arch, value, trial)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir, workers=1):
@@ -254,61 +263,33 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers=1):
     Returns the summary dict that is also written to summary.json.
     """
     os.makedirs(os.path.join(out_dir, "cells"), exist_ok=True)
-    spec_path = os.path.join(out_dir, "spec.json")
-    if os.path.exists(spec_path):
-        with open(spec_path, encoding="utf-8") as fh:
-            existing = json.load(fh)
-        if existing != json.loads(spec.canonical_json()):
-            raise ContractError(
-                f"{out_dir} already holds a different experiment; use a fresh dir")
-    else:
-        write_json(spec_path, json.loads(spec.canonical_json()))
+    spec_record = json.loads(spec.canonical_json())
+    if stored_json(os.path.join(out_dir, "spec.json"), lambda: spec_record) != spec_record:
+        raise ContractError(
+            f"{out_dir} already holds a different experiment; use a fresh dir")
 
-    spec_hash = spec.spec_hash()
+    ours = ("spec_hash", spec.spec_hash())
     grid = [(arch, value, trial)
             for arch in spec.archs
             for value in spec.values
             for trial in range(spec.trials)]
-    pending = [(a, v, t) for (a, v, t) in grid
-               if not os.path.exists(_cell_path(out_dir, a, v, t))]
-
-    if pending and workers > 1:
-        args = [(asdict(spec), a, v, t) for (a, v, t) in pending]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (a, v, t), rec in zip(pending, pool.map(_cell_worker, args)):
-                write_json(_cell_path(out_dir, a, v, t), rec)
-    else:
-        for a, v, t in pending:
-            rec = run_single_cell(spec, a, v, t)
-            write_json(_cell_path(out_dir, a, v, t), rec)
-
-    cells = {(a, v, t): _load_record(_cell_path(out_dir, a, v, t), spec_hash)
-             for (a, v, t) in grid}
+    pending = [cell for cell in grid if not os.path.exists(_cell_path(out_dir, *cell))]
+    pool = ProcessPoolExecutor(max_workers=workers) if pending and workers > 1 else None
+    # yields the pending cells' records in grid order, as stored_json asks for them
+    records = (pool.map if pool else map)(
+        run_single_cell, [spec] * len(pending), *zip(*pending))
+    try:
+        cells = {cell: stored_json(_cell_path(out_dir, *cell), lambda: next(records), ours)
+                 for cell in grid}
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
 
     timings = {}
     if spec.time_batches:
-        for arch in spec.archs:
-            for value in spec.values:
-                path = _timing_path(out_dir, arch, value)
-                if os.path.exists(path):
-                    timings[(arch, value)] = _load_record(path, spec_hash)
-                    continue
-                try:
-                    config, _ = resolve_cell(spec, arch, value, 0)
-                except BudgetError as exc:
-                    rec = {"schema": "graphbench-timing v1", "spec_hash": spec_hash,
-                           "arch": arch, "sweep_value": value,
-                           "error": f"BudgetError: {exc}"}
-                else:
-                    rec = measure_batch_time(
-                        config, spec.task,
-                        spec.q_noise if spec.sweep != "noise" else float(value),
-                        seed=derive_seed(spec.seed, spec.name, "timing", arch, value))
-                    rec.update({"schema": "graphbench-timing v1",
-                                "spec_hash": spec_hash, "arch": arch,
-                                "sweep_value": value, "error": None})
-                write_json(path, rec)
-                timings[(arch, value)] = rec
+        timings = {(a, v): stored_json(_timing_path(out_dir, a, v),
+                                       lambda: _timing_record(spec, a, v), ours)
+                   for a in spec.archs for v in spec.values}
 
     summary = _summarize(spec, cells, timings)
     write_json(os.path.join(out_dir, "summary.json"), summary)

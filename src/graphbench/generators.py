@@ -208,123 +208,112 @@ def make_clustering_instance(q_noise, rng_seed):
 # ---------------------------------------------------------------------------
 # text serialization (canonical, so equal instances serialize byte-for-byte)
 
-def graph_to_text(graph: Graph):
-    lines = ["graphbench-graph v1",
-             f"n_nodes {graph.n_nodes}",
-             f"n_communities {graph.n_communities}",
-             "nodes"]
-    for i in range(graph.n_nodes):
-        lines.append(f"{graph.signal[i]} {graph.community[i]}")
+def _to_text(magic, fields, graph, node_columns):
+    """Header lines, then one line per node from ``node_columns``, then the edges."""
+    lines = [magic, *(f"{name} {value}" for name, value in fields.items()),
+             f"n_nodes {graph.n_nodes}", f"n_communities {graph.n_communities}", "nodes"]
+    lines += [" ".join(map(str, row)) for row in zip(*node_columns)]
     lines.append("edges")
-    for i, j in graph.adjacency.undirected_pairs():
-        lines.append(f"{i} {j}")
+    lines += [f"{i} {j}" for i, j in graph.adjacency.undirected_pairs()]
     lines.append("end")
     return "\n".join(lines) + "\n"
+
+
+def graph_to_text(graph: Graph):
+    return _to_text("graphbench-graph v1", {}, graph, (graph.signal, graph.community))
 
 
 def instance_to_text(inst: TaskInstance):
     graph = inst.graph
-    lines = ["graphbench-instance v1",
-             f"task {inst.task}",
-             f"n_nodes {graph.n_nodes}",
-             f"n_communities {graph.n_communities}",
-             "nodes"]
-    for i in range(graph.n_nodes):
-        seeded = int(inst.seed_mask[i]) if inst.seed_mask is not None else 0
-        lines.append(f"{graph.signal[i]} {graph.community[i]} {inst.targets[i]} {seeded}")
-    lines.append("edges")
-    for i, j in graph.adjacency.undirected_pairs():
-        lines.append(f"{i} {j}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    seeded = (inst.seed_mask.astype(np.int64) if inst.seed_mask is not None
+              else np.zeros(graph.n_nodes, dtype=np.int64))
+    return _to_text("graphbench-instance v1", {"task": inst.task}, graph,
+                    (graph.signal, graph.community, inst.targets, seeded))
 
 
 def _parse_header(lines, magic, fields):
+    """Header values by field name, each converted by its type in ``fields``."""
     if not lines or lines[0] != magic:
         raise ContractError(f"expected header {magic!r}")
     values = {}
-    pos = 1
-    for name in fields:
+    for pos, (name, kind) in enumerate(fields.items(), start=1):
         try:
             key, raw = lines[pos].split(" ", 1)
         except (IndexError, ValueError):
             raise ContractError(f"missing header field {name!r}") from None
         if key != name:
             raise ContractError(f"expected field {name!r}, found {key!r}")
-        values[name] = raw
-        pos += 1
-    return values, pos
+        try:
+            values[name] = kind(raw)
+        except ValueError:
+            raise ContractError(f"line {pos + 1}: {name} expects {kind.__name__}, "
+                                f"got {raw!r}") from None
+    return values, len(fields) + 1
 
 
 def _parse_sections(lines, pos, n_nodes, node_width):
+    # with an 'end' line ahead, every line read below exists: a node line
+    # that reads 'end' fails to parse before the text runs out
+    if "end" not in lines[pos:]:
+        raise ContractError(f"line {len(lines)}: text ends before 'end'")
+
+    def ints(k, width, what):
+        parts = lines[k].split()
+        try:
+            if len(parts) != width:
+                raise ValueError
+            return [int(p) for p in parts]
+        except ValueError:
+            raise ContractError(f"line {k + 1}: {what} must be {width} integers, "
+                                f"got {lines[k]!r}") from None
+
     if lines[pos] != "nodes":
-        raise ContractError("expected 'nodes' section")
-    pos += 1
-    rows = []
-    for i in range(n_nodes):
-        parts = lines[pos + i].split()
-        if len(parts) != node_width:
-            raise ContractError(f"node line {i} must have {node_width} fields")
-        rows.append([int(p) for p in parts])
-    pos += n_nodes
+        raise ContractError(f"line {pos + 1}: expected 'nodes' section")
+    rows = [ints(pos + 1 + i, node_width, "a node line") for i in range(n_nodes)]
+    pos += 1 + n_nodes
     if lines[pos] != "edges":
-        raise ContractError("expected 'edges' section")
+        raise ContractError(f"line {pos + 1}: expected 'edges' section")
     pos += 1
     pairs = []
     while lines[pos] != "end":
-        parts = lines[pos].split()
-        if len(parts) != 2:
-            raise ContractError("edge lines must have two fields")
-        pairs.append((int(parts[0]), int(parts[1])))
+        pairs.append(ints(pos, 2, "an edge line"))
         pos += 1
     node_rows = np.asarray(rows, dtype=np.int64).reshape(n_nodes, node_width)
     pair_arr = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
     return node_rows, pair_arr
 
 
-def graph_from_text(text):
+def _parse_graph(text, magic, fields, node_width):
+    """(header values, Graph, node rows) of a text ``_to_text`` wrote."""
     lines = text.splitlines()
-    header, pos = _parse_header(lines, "graphbench-graph v1",
-                                ["n_nodes", "n_communities"])
-    n = int(header["n_nodes"])
-    rows, pairs = _parse_sections(lines, pos, n, node_width=2)
-    return Graph(n_nodes=n,
-                 adjacency=SparseAdjacency.from_undirected(n, pairs),
-                 signal=rows[:, 0], community=rows[:, 1],
-                 n_communities=int(header["n_communities"]))
+    header, pos = _parse_header(lines, magic,
+                                {**fields, "n_nodes": int, "n_communities": int})
+    n = header["n_nodes"]
+    rows, pairs = _parse_sections(lines, pos, n, node_width)
+    graph = Graph(n_nodes=n, adjacency=SparseAdjacency.from_undirected(n, pairs),
+                  signal=rows[:, 0], community=rows[:, 1],
+                  n_communities=header["n_communities"])
+    return header, graph, rows
+
+
+def graph_from_text(text):
+    return _parse_graph(text, "graphbench-graph v1", {}, node_width=2)[1]
 
 
 def instance_from_text(text):
-    lines = text.splitlines()
-    header, pos = _parse_header(lines, "graphbench-instance v1",
-                                ["task", "n_nodes", "n_communities"])
+    header, graph, rows = _parse_graph(text, "graphbench-instance v1", {"task": str},
+                                       node_width=4)
     task = header["task"]
     if task not in TASKS:
         raise ContractError(f"unknown task {task!r}")
-    n = int(header["n_nodes"])
-    rows, pairs = _parse_sections(lines, pos, n, node_width=4)
-    graph = Graph(n_nodes=n,
-                  adjacency=SparseAdjacency.from_undirected(n, pairs),
-                  signal=rows[:, 0], community=rows[:, 1],
-                  n_communities=int(header["n_communities"]))
     seed_mask = rows[:, 3].astype(bool) if task == TASK_CLUSTERING else None
     return TaskInstance(graph=graph, task=task, targets=rows[:, 2],
                         seed_mask=seed_mask)
 
 
-def save_instance(inst, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(instance_to_text(inst))
-
-
 def load_instance(path):
     with open(path, encoding="utf-8") as fh:
         return instance_from_text(fh.read())
-
-
-def save_graph(graph, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(graph_to_text(graph))
 
 
 def load_graph(path):

@@ -10,8 +10,12 @@ each decay and a floor of 1e-6).
 Wall-clock numbers are measured once and carried inside the TrainReport;
 everything written to disk is rendered from the report, so a report
 reloaded from JSON reproduces its CSV and summary byte-for-byte.
+
+``stored_json`` is the one store of every cached run record: it loads a
+JSON record, or computes it and writes it atomically first.
 """
 
+import hashlib
 import json
 import os
 import time
@@ -402,3 +406,25 @@ def write_json(path, payload):
 
 def write_summary_json(report: TrainReport, path):
     write_json(path, summary_dict(report))
+
+
+def record_key(payload):
+    """First 16 hex digits of the sha256 of the payload's sorted JSON."""
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def stored_json(path, compute, key=None):
+    """The JSON record at ``path``, where ``compute()`` is written first if absent.
+
+    The record is always read back from the file, so a fresh run and a
+    resumed run go on from the same bytes. ``key=(field, value)`` refuses
+    a record whose ``field`` is not ``value``.
+    """
+    if not os.path.exists(path):
+        write_json(path, compute())
+    with open(path, encoding="utf-8") as fh:
+        record = json.load(fh)
+    if key is not None and record.get(key[0]) != key[1]:
+        raise ContractError(f"{path} holds a record of another run "
+                            f"({key[0]} is not {key[1]!r}); use a fresh out dir")
+    return record

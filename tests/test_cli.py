@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import graphbench
 from graphbench.cli import main
@@ -56,6 +57,10 @@ def test_train_writes_resumes_and_guards(tmp_path, capsys):
     # same directory, different settings: refuse rather than overwrite
     assert main(TRAIN_ARGS + ["--hidden", "8", "--seed", "9",
                               "--out", str(out)]) == 2
+    refused = capsys.readouterr()
+    assert "reusing" not in refused.out
+    assert "report.json holds a record of another run" in refused.err
+    assert (out / "series.csv").read_bytes() == series
 
 
 def test_train_size_flags_are_exclusive(tmp_path, capsys):
@@ -96,6 +101,23 @@ def test_sweep_cli_reports_malformed_number(tmp_path, capsys):
                       "archs = commnet\nvalues = 1\ntrials = abc\nhidden_dim = 8\n")
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert "error: line 6: trials expects int, got 'abc'" in capsys.readouterr().err
+
+
+def test_sweep_cli_reports_missing_config(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["sweep", "--config", str(missing), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.cfg" in err
+
+
+def test_bad_workers_variable_reaches_only_sweep(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GRAPHBENCH_WORKERS", "two")
+    assert main(["gen", "--task", "clustering", "--count", "1",
+                 "--out", str(tmp_path / "inst")]) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--config", "x.cfg", "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert "--workers: invalid int value: 'two'" in capsys.readouterr().err
 
 
 def test_dirichlet_cli(tmp_path, capsys):

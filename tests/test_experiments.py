@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -171,6 +172,17 @@ def test_run_experiment_rejects_spec_change(tmp_path):
     run_experiment(tiny_spec(), d)
     with pytest.raises(ContractError):
         run_experiment(tiny_spec(seed=999), d)
+
+
+@pytest.mark.parametrize("name", ["commnet-v1-t0.json", "time-commnet-v1.json"])
+def test_run_experiment_refuses_a_record_of_another_spec(tmp_path, name):
+    # spec.json matches, so only the record's own spec_hash can refuse it
+    ours, theirs = tiny_spec(time_batches=True), tiny_spec(time_batches=True, seed=4)
+    run_experiment(ours, tmp_path / "ours")
+    run_experiment(theirs, tmp_path / "theirs")
+    shutil.copy(tmp_path / "theirs" / "cells" / name, tmp_path / "ours" / "cells" / name)
+    with pytest.raises(ContractError, match=name):
+        run_experiment(ours, tmp_path / "ours")
 
 
 def test_run_experiment_parallel_matches_serial(tmp_path):

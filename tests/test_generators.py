@@ -176,6 +176,33 @@ def test_parse_rejects_malformed():
         instance_from_text(good.replace("task clustering", "task foo"))
 
 
+def _break_instance_text(how):
+    """A clustering instance's text, broken one way, and the line to blame."""
+    lines = instance_to_text(make_clustering_instance(0.1, 1)).splitlines()
+    edges = lines.index("edges")
+    if how == "cut before end":
+        return "\n".join(lines[:-1]) + "\n", len(lines) - 1
+    if how == "cut inside the nodes":
+        return "\n".join(lines[:9]) + "\n", 9
+    if how == "letter in the header":
+        lines[2] = "n_nodes 1x"
+        return "\n".join(lines) + "\n", 3
+    if how == "letter in a node line":
+        lines[7] = "x " + lines[7].split(" ", 1)[1]
+        return "\n".join(lines) + "\n", 8
+    lines[edges + 1] += " 4"  # three fields on an edge line
+    return "\n".join(lines) + "\n", edges + 2
+
+
+@pytest.mark.parametrize("how", ["cut before end", "cut inside the nodes",
+                                 "letter in the header", "letter in a node line",
+                                 "three fields on an edge line"])
+def test_malformed_instance_text_names_its_line(how):
+    text, lineno = _break_instance_text(how)
+    with pytest.raises(ContractError, match=f"^line {lineno}: "):
+        instance_from_text(text)
+
+
 def test_validate_sbm_stats_needs_samples():
     graphs = [sbm_generate(SbmParams(0.5, 0.1, (5, 5)), s) for s in range(10)]
     with pytest.raises(InsufficientSamplesError):

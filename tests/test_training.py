@@ -21,6 +21,7 @@ from graphbench.training import (
     default_optimizer,
     evaluate,
     make_instance_fn,
+    stored_json,
     task_dims,
     train,
     weighted_loss,
@@ -217,6 +218,25 @@ def test_report_state_roundtrip_renders_identically(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     assert not list(tmp_path.glob("*.tmp"))  # written through a renamed temp file
     assert summary_dict(report) == summary_dict(revived)
+
+
+def test_stored_json_computes_once_and_refuses_a_foreign_record(tmp_path):
+    path = tmp_path / "record.json"
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return {"key": "ours", "pair": (1, 2)}
+
+    # the fresh record too is the one read back: its tuple is a JSON list
+    first = stored_json(path, compute, key=("key", "ours"))
+    again = stored_json(path, compute, key=("key", "ours"))
+    assert first == again == {"key": "ours", "pair": [1, 2]}
+    assert len(calls) == 1  # a stored record is never recomputed
+    with pytest.raises(ContractError, match="record.json"):
+        stored_json(path, compute, key=("key", "theirs"))
+    assert len(calls) == 1
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_rolling_losses_average_the_last_loss_block():
