@@ -288,11 +288,21 @@ def _parse_graph(text, magic, fields, node_width):
     lines = text.splitlines()
     header, pos = _parse_header(lines, magic,
                                 {**fields, "n_nodes": int, "n_communities": int})
-    n = header["n_nodes"]
+    # the two counts are the header's last lines, n_nodes first
+    for lineno, name in enumerate(("n_nodes", "n_communities"), start=pos - 1):
+        if header[name] < 0:
+            raise ContractError(f"line {lineno}: {name} must not be negative, "
+                                f"got {header[name]}")
+    n, k = header["n_nodes"], header["n_communities"]
     rows, pairs = _parse_sections(lines, pos, n, node_width)
+    community = rows[:, 1]
+    bad = np.flatnonzero((community < 0) | (community >= k))
+    if bad.size:
+        raise ContractError(
+            f"line {pos + 2 + bad[0]}: community {community[bad[0]]} is out of "
+            f"range for n_communities {k}")
     graph = Graph(n_nodes=n, adjacency=SparseAdjacency.from_undirected(n, pairs),
-                  signal=rows[:, 0], community=rows[:, 1],
-                  n_communities=header["n_communities"])
+                  signal=rows[:, 0], community=community, n_communities=k)
     return header, graph, rows
 
 

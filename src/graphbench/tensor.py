@@ -14,10 +14,13 @@ its tape each iteration runs in constant memory. The flip side: to call
 variable until then.
 
 Every differentiable op has one form: it checks its inputs, computes its
-output, and returns ``_result(data, inputs, rule)``, where ``rule(g, acc)``
-turns the output gradient into ``acc(input, grad)`` calls. A tape entry is
-that ``(out, rule)`` pair. Outside a tape the rule is never recorded, which
-is how evaluation passes avoid autodiff overhead.
+output, and returns ``_result(data, inputs, rule)``, where ``rule(g)``
+turns the output gradient into one gradient per input. A rule closes over
+the arrays it reads and never over a Tensor, and a tape entry holds its
+output's key rather than the output (see :func:`_result`), so the tape
+keeps alive only what backward reads: an op output no rule reads is freed
+as soon as the caller drops it. Outside a tape the rule is never
+recorded, which is how evaluation passes avoid autodiff overhead.
 
 Gradient arrays are shared, not copied: :func:`backward` may hand one
 array to several leaves (both inputs of an ``add`` get the same ``.grad``).
@@ -75,13 +78,14 @@ MALLOC_TUNED = _keep_freed_memory()
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_tape", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_tape", "_key", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._tape = None
+        self._key = None
 
     @property
     def shape(self):
@@ -97,8 +101,10 @@ class Tensor:
 class Tape:
     """Ordered record of differentiable operations.
 
-    Each entry is (output tensor, backward rule). Entries are appended in
-    execution order, so every operation's inputs appear before it.
+    Each entry is (key, targets, rule), as :func:`_result` records it.
+    Entries are appended in execution order, so every operation's inputs
+    appear before it. Of the tensors, the tape holds only the leaves that
+    some rule routes a gradient to, never an op output.
     """
 
     def __init__(self):
@@ -119,30 +125,42 @@ _TAPE_STACK = []
 
 
 def _result(data, inputs, rule):
-    """Wrap an op's output; record (out, rule) if a tape needs it.
+    """Wrap an op's output; record (key, targets, rule) if a tape needs it.
 
-    ``rule(g, acc)`` maps the output gradient ``g`` to calls of
-    ``acc(input, grad)``. It is recorded only while a tape is active and
-    some input requires a gradient; otherwise it is dropped unused.
+    ``rule(g)`` returns one gradient per input, in ``inputs`` order (the
+    order they accumulate in), and may close over arrays, never over a
+    Tensor. It is recorded only while a tape is active and some input
+    requires a gradient; otherwise it is dropped unused. The output's key
+    is its entry's position on the tape. Each input's target is its key if
+    this tape recorded it, the input itself if it requires a gradient
+    otherwise (a leaf, or an output of another tape), and None if it needs
+    no gradient.
     """
     tape = _TAPE_STACK[-1] if _TAPE_STACK else None
     needs = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=needs)
     if needs:
-        out._tape = tape._self_ref
-        tape.ops.append((out, rule))
+        ref = tape._self_ref
+        targets = tuple(t._key if t._tape is ref else t if t.requires_grad else None
+                        for t in inputs)
+        out._tape = ref
+        out._key = len(tape.ops)
+        tape.ops.append((out._key, targets, rule))
     return out
 
 
 def backward(loss):
     """Populate .grad on every requires_grad leaf reachable from loss.
 
-    Leaves (tensors no tape op produced) accumulate onto existing .grad;
-    callers zero it between steps. An op output's gradient is freed once
-    its rule has run. Flow is per call: two backwards double leaf grads.
+    Gradients flow by target (see :func:`_result`): an op output's flows
+    under its key and is freed once its rule has run; a leaf's flows under
+    the leaf itself and, at the end, accumulates onto its existing .grad,
+    which callers zero between steps. A tensor recorded on another tape is
+    a leaf here and gets .grad too. Flow is per call: two backwards double
+    leaf grads.
 
-    A tensor's first incoming gradient is kept without a copy, so it may
-    be the very array another tensor receives. Only arrays this call
+    A target's first incoming gradient is kept without a copy, so it may
+    be the very array another target receives. Only arrays this call
     allocated (``owned``) are ever summed into in place.
     """
     if loss.data.size != 1:
@@ -153,31 +171,28 @@ def backward(loss):
             "loss is not attached to a live tape; compute it inside "
             "'with Tape() as tape:' and keep the tape bound until backward")
     flows = {}
-    holders = {}
     owned = set()
 
-    def acc(t, g):
-        if not t.requires_grad:
+    def acc(target, g):
+        if target is None:
             return
-        key = id(t)
-        if key in owned:
-            flows[key] += g
-        elif key in flows:
-            flows[key] = flows[key] + g
-            owned.add(key)
+        if target in owned:
+            flows[target] += g
+        elif target in flows:
+            flows[target] = flows[target] + g
+            owned.add(target)
         else:
-            flows[key] = g
-            holders[key] = t
+            flows[target] = g
 
-    acc(loss, np.ones_like(loss.data))
-    for out, rule in reversed(tape.ops):
-        g = flows.pop(id(out), None)
+    acc(loss._key, np.ones_like(loss.data))
+    for key, targets, rule in reversed(tape.ops):
+        g = flows.pop(key, None)
         if g is None:
             continue
-        rule(g, acc)
-    for key, g in flows.items():
-        t = holders[key]
-        t.grad = g if t.grad is None else t.grad + g
+        for target, grad in zip(targets, rule(g)):
+            acc(target, grad)
+    for leaf, g in flows.items():
+        leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -193,21 +208,19 @@ def _check_same_shape(a, b, op):
 def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
-    data = a.data @ b.data
+    ad, bd = a.data, b.data
 
-    def rule(g, acc):
-        acc(a, g @ b.data.T)
-        acc(b, a.data.T @ g)
+    def rule(g):
+        return g @ bd.T, ad.T @ g
 
-    return _result(data, (a, b), rule)
+    return _result(ad @ bd, (a, b), rule)
 
 
 def add(a, b):
     _check_same_shape(a, b, "add")
 
-    def rule(g, acc):
-        acc(a, g)
-        acc(b, g)
+    def rule(g):
+        return g, g
 
     return _result(a.data + b.data, (a, b), rule)
 
@@ -215,16 +228,17 @@ def add(a, b):
 def hadamard(a, b):
     _check_same_shape(a, b, "hadamard")
 
-    def rule(g, acc):
-        acc(a, g * b.data)
-        acc(b, g * a.data)
+    ad, bd = a.data, b.data
 
-    return _result(a.data * b.data, (a, b), rule)
+    def rule(g):
+        return g * bd, g * ad
+
+    return _result(ad * bd, (a, b), rule)
 
 
 def one_minus(x):
-    def rule(g, acc):
-        acc(x, -g)
+    def rule(g):
+        return (-g,)
 
     return _result(1.0 - x.data, (x,), rule)
 
@@ -237,9 +251,8 @@ def bias_add(x, b):
     if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"bias_add: shapes {x.data.shape} and {b.data.shape}")
 
-    def rule(g, acc):
-        acc(x, g)
-        acc(b, g.sum(axis=0))
+    def rule(g):
+        return g, g.sum(axis=0)
 
     return _result(x.data + b.data, (x, b), rule)
 
@@ -255,10 +268,10 @@ def _logistic(z, out):
 def sigmoid(x):
     data = _logistic(x.data, np.empty_like(x.data))
 
-    def rule(g, acc):
+    def rule(g):
         gx = g * data
         gx *= 1.0 - data
-        acc(x, gx)
+        return (gx,)
 
     return _result(data, (x,), rule)
 
@@ -266,8 +279,8 @@ def sigmoid(x):
 def tanh(x):
     data = np.tanh(x.data)
 
-    def rule(g, acc):
-        acc(x, g * (1.0 - data * data))
+    def rule(g):
+        return (g * (1.0 - data * data),)
 
     return _result(data, (x,), rule)
 
@@ -275,15 +288,19 @@ def tanh(x):
 def relu(x):
     data = np.maximum(x.data, 0.0)
 
-    def rule(g, acc):
-        acc(x, g * (x.data > 0.0))
+    def rule(g):
+        # the output is positive exactly where the input is (NaN in both
+        # fails the test), so the rule need not keep the input alive
+        return (g * (data > 0.0),)
 
     return _result(data, (x,), rule)
 
 
 def sum_all(x):
-    def rule(g, acc):
-        acc(x, np.full_like(x.data, float(g)))
+    shape = x.data.shape
+
+    def rule(g):
+        return (np.full(shape, float(g)),)
 
     return _result(np.asarray(x.data.sum()), (x,), rule)
 
@@ -310,8 +327,8 @@ def gather_rows(x, adj, endpoint):
     _check_node_rows(x, adj, "gather_rows")
     idx = adj.endpoint(endpoint)
 
-    def rule(g, acc):
-        acc(x, kernels.scatter_rows(g, adj, endpoint))
+    def rule(g):
+        return (kernels.scatter_rows(g, adj, endpoint),)
 
     return _result(x.data[idx], (x,), rule)
 
@@ -324,8 +341,8 @@ def scatter_rows(x, adj, endpoint):
             f"for {adj.n_edges} edges")
     idx = adj.endpoint(endpoint)
 
-    def rule(g, acc):
-        acc(x, g[idx])
+    def rule(g):
+        return (g[idx],)
 
     return _result(kernels.scatter_rows(x.data, adj, endpoint), (x,), rule)
 
@@ -335,8 +352,8 @@ def neighbor_sum(h, adj):
     _check_node_rows(h, adj, "neighbor_sum")
     data = kernels.neighbor_sum(h.data, adj, "dst")
 
-    def rule(g, acc):
-        acc(h, kernels.neighbor_sum(g, adj, "src"))
+    def rule(g):
+        return (kernels.neighbor_sum(g, adj, "src"),)
 
     return _result(data, (h,), rule)
 
@@ -350,11 +367,12 @@ def gated_neighbor_sum(h, gates, adj):
         raise GraphStructureError(
             f"expected one gate row per edge: {gates.data.shape} vs {adj.n_edges} edges"
         )
-    data = kernels.gated_neighbor_sum(h.data, gates.data, adj, "dst")
+    hd, gd = h.data, gates.data
+    data = kernels.gated_neighbor_sum(hd, gd, adj, "dst")
 
-    def rule(g, acc):
-        acc(h, kernels.gated_neighbor_sum(g, gates.data, adj, "src"))
-        acc(gates, h.data[adj.src] * g[adj.dst])
+    def rule(g):
+        return (kernels.gated_neighbor_sum(g, gd, adj, "src"),
+                hd[adj.src] * g[adj.dst])
 
     return _result(data, (h, gates), rule)
 
@@ -380,19 +398,19 @@ def gated_aggregate(center, neighbor, values, adj):
             f"gated_aggregate: widths differ: center {width}, neighbor "
             f"{neighbor.data.shape[1]}, values {values.data.shape[1]}")
     src = adj.src
+    vd = values.data
     gates = center.data + neighbor.data[src]
     _logistic(gates, gates)
-    data = kernels.gated_neighbor_sum(values.data, gates, adj, "dst")
+    data = kernels.gated_neighbor_sum(vd, gates, adj, "dst")
 
-    def rule(g, acc):
-        acc(values, kernels.gated_neighbor_sum(g, gates, adj, "src"))
-        gx = values.data[src] * g[adj.dst]
+    def rule(g):
+        gv = kernels.gated_neighbor_sum(g, gates, adj, "src")
+        gx = vd[src] * g[adj.dst]
         gx *= gates
         gx *= 1.0 - gates
-        acc(center, gx)
-        acc(neighbor, kernels.scatter_rows(gx, adj, "src"))
+        return gv, gx, kernels.scatter_rows(gx, adj, "src")
 
-    return _result(data, (center, neighbor, values), rule)
+    return _result(data, (values, center, neighbor), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -418,17 +436,15 @@ def batch_norm(x, gamma, beta):
     var = x.data.var(axis=0)
     inv_std = 1.0 / np.sqrt(var + BATCH_NORM_EPS)
     xhat = (x.data - mean) * inv_std
-    data = xhat * gamma.data + beta.data
+    gd = gamma.data
+    data = xhat * gd + beta.data
 
-    def rule(g, acc):
-        acc(gamma, (g * xhat).sum(axis=0))
-        acc(beta, g.sum(axis=0))
-        gx = g * gamma.data
-        acc(x, inv_std / n * (
-            n * gx - gx.sum(axis=0) - xhat * (gx * xhat).sum(axis=0)
-        ))
+    def rule(g):
+        gx = g * gd
+        gx = inv_std / n * (n * gx - gx.sum(axis=0) - xhat * (gx * xhat).sum(axis=0))
+        return (g * xhat).sum(axis=0), g.sum(axis=0), gx
 
-    return _result(data, (x, gamma, beta), rule)
+    return _result(data, (gamma, beta, x), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +483,9 @@ def softmax_cross_entropy(logits, targets, class_weights, mask=None):
     per_node = -log_p[np.arange(n), targets]
     data = np.asarray((w * per_node).sum() / w_total)
 
-    def rule(g, acc):
+    def rule(g):
         p = np.exp(log_p)
         p[np.arange(n), targets] -= 1.0
-        acc(logits, p * (float(g) * w / w_total)[:, None])
+        return (p * (float(g) * w / w_total)[:, None],)
 
     return _result(data, (logits,), rule)

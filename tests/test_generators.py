@@ -190,6 +190,14 @@ def _break_instance_text(how):
     if how == "letter in a node line":
         lines[7] = "x " + lines[7].split(" ", 1)[1]
         return "\n".join(lines) + "\n", 8
+    if how == "negative node count":
+        lines[2] = "n_nodes -3"
+        return "\n".join(lines) + "\n", 3
+    if how == "label past n_communities":
+        lines[3] = "n_communities 2"
+        first = next(k for k in range(lines.index("nodes") + 1, edges)
+                     if int(lines[k].split()[1]) >= 2)
+        return "\n".join(lines) + "\n", first + 1
     lines[edges + 1] += " 4"  # three fields on an edge line
     return "\n".join(lines) + "\n", edges + 2
 
@@ -200,6 +208,14 @@ def _break_instance_text(how):
 def test_malformed_instance_text_names_its_line(how):
     text, lineno = _break_instance_text(how)
     with pytest.raises(ContractError, match=f"^line {lineno}: "):
+        instance_from_text(text)
+
+
+@pytest.mark.parametrize("how, field", [("negative node count", "n_nodes"),
+                                        ("label past n_communities", "community")])
+def test_out_of_range_count_or_label_names_its_line_and_field(how, field):
+    text, lineno = _break_instance_text(how)
+    with pytest.raises(ContractError, match=f"^line {lineno}: {field} "):
         instance_from_text(text)
 
 

@@ -31,10 +31,12 @@ MAX_FAULTS_PER_ITER = 200
 # peak bytes allocated during one taped step, in units of one E x H float64
 # array; the per-edge gate op keeps one such array per layer (per inner
 # step after the first in glstm), so a regression that tapes more edge
-# arrays shows here. backward frees each intermediate gradient once its
-# op's rule has run, which measured 18.4 and 40.9; a backward that keeps
-# them all until it returns measured 24.8 and 54.7 and fails these bounds
-MAX_PEAK_EDGE_ARRAYS = {"gated_gcn": 22, "glstm": 48}
+# arrays shows here. The tape keeps only what backward reads: no op
+# output, and each rule only the arrays it uses, which measured 9.6 and
+# 22.2. A tape whose entries hold their op outputs measured 18.3 and 40.9
+# (bounded at 22 and 48 then), and also keeping every intermediate
+# gradient until backward returns measured 24.8 and 54.7; both fail
+MAX_PEAK_EDGE_ARRAYS = {"gated_gcn": 12, "glstm": 27}
 
 STEADY_STATE_FAULTS = """
 import json, resource

@@ -127,6 +127,48 @@ def test_dropping_tape_frees_graph_without_gc():
     assert witness() is None
 
 
+def test_dropped_intermediate_is_freed_inside_a_live_tape():
+    # a tape entry keeps its output's key, not the output, and no rule
+    # reads a gather_rows output; so once the caller drops it, it is freed
+    # while the tape lives, and backward still routes its gradient
+    adj = small_directed()
+    rng = np.random.default_rng(0)
+    arrays = [rng.normal(size=(4, 2)) for _ in range(3)]
+
+    def leaf_grads(drop):
+        h, neighbor, values = (Tensor(a, requires_grad=True) for a in arrays)
+        with Tape() as tape:
+            center = gather_rows(h, adj, "dst")
+            witnesses = weakref.ref(center), weakref.ref(center.data)
+            out = gated_aggregate(center, neighbor, values, adj)
+            if drop:
+                del center
+                assert all(w() is None for w in witnesses)
+            loss = sum_all(out)
+        backward(loss)
+        return h.grad, neighbor.grad, values.grad
+
+    for kept, dropped in zip(leaf_grads(False), leaf_grads(True)):
+        assert np.array_equal(kept, dropped)
+
+
+def test_output_of_an_earlier_tape_is_a_leaf_of_a_later_one():
+    # mid was recorded on the first tape; on the second it is a leaf, so it
+    # gets .grad there and the gradient stops at it
+    x = Tensor(np.zeros((2, 2)), requires_grad=True)
+    with Tape() as first:
+        mid = sigmoid(x)
+        first_loss = sum_all(mid)
+    with Tape() as second:
+        loss = sum_all(hadamard(mid, mid))
+    backward(loss)
+    assert np.array_equal(mid.grad, np.ones((2, 2)))  # 2 * sigmoid(0)
+    assert x.grad is None
+    backward(first_loss)
+    assert np.array_equal(x.grad, np.full((2, 2), 0.25))
+    assert np.array_equal(mid.grad, np.ones((2, 2)))
+
+
 def test_backward_after_tape_dropped_raises():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with Tape():
