@@ -11,7 +11,9 @@ blocks, the per-class potentials solve
 where m_c marks the seeds of class c. Each node takes the argmax class
 over its potentials. Components containing no seed have no boundary
 condition; their nodes are assigned the globally most frequent seed class
-and flagged.
+and flagged. They are found by a sweep outward from the seeds, one
+product with the Laplacian per ring of neighbours, so a node is flagged
+exactly when no path joins it to a seed.
 
 The solver is a hand-written conjugate gradient with Jacobi (diagonal)
 preconditioning; scipy.sparse supplies only matrix assembly and products.
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ContractError, SolverError
 
@@ -114,6 +115,24 @@ def jacobi_pcg(a, b, tol=CG_TOL, max_iters=None, column_iterations=None):
     return (x_out.T if b.ndim == 2 else x_out[0]), int(iters.sum())
 
 
+def _reached_from(lap, seed_mask):
+    """Nodes joined to some seed by a path, found one ring at a time.
+
+    For a node v outside the frontier indicator f, (L @ f)[v] is minus v's
+    number of frontier neighbours, negative exactly where v borders the
+    frontier. The rounds number the largest distance from the seeds plus
+    one, about as many as CG needs iterations to carry a seed's value that
+    far. The edge set being symmetric, the result is exactly the seeds'
+    connected components.
+    """
+    reached = seed_mask.copy()
+    frontier = seed_mask
+    while frontier.any():
+        frontier = (lap @ frontier < 0) & ~reached
+        reached |= frontier
+    return reached
+
+
 @dataclass
 class DirichletResult:
     assignment: np.ndarray
@@ -142,11 +161,7 @@ def dirichlet_assign(graph, seed_mask, seed_labels, n_classes):
         raise ContractError("seed labels out of range")
 
     lap = build_laplacian(graph)
-    # L's off-diagonal pattern is the adjacency; its diagonal only adds self-loops
-    _, component = connected_components(lap, directed=False)
-
-    seeded_components = np.unique(component[seed_mask])
-    reachable = np.isin(component, seeded_components)
+    reachable = _reached_from(lap, seed_mask)
     flagged = ~reachable
     majority = int(np.bincount(labels, minlength=n_classes).argmax())
 

@@ -15,6 +15,8 @@ operator's row lists its columns in exactly that edge order.
 rebinding a module attribute (as a profiler does) reaches every call.
 """
 
+import numpy as np
+
 
 def scatter_rows(rows, adj, to):
     """out[adj.<to>[e]] += rows[e] for every edge e; one row per node."""
@@ -29,4 +31,4 @@ def neighbor_sum(h, adj, to):
 def gated_neighbor_sum(h, gates, adj, to):
     """out[dst[e]] += gates[e] * h[src[e]] for every edge e (``to="src"``: reversed)."""
     source = adj.endpoint("src" if to == "dst" else "dst")
-    return adj.incidence(to) @ (gates * h[source])
+    return adj.incidence(to) @ (gates * np.take(h, source, axis=0))

@@ -129,12 +129,14 @@ def _result(data, inputs, rule):
 
     ``rule(g)`` returns one gradient per input, in ``inputs`` order (the
     order they accumulate in), and may close over arrays, never over a
-    Tensor. It is recorded only while a tape is active and some input
-    requires a gradient; otherwise it is dropped unused. The output's key
-    is its entry's position on the tape. Each input's target is its key if
-    this tape recorded it, the input itself if it requires a gradient
-    otherwise (a leaf, or an output of another tape), and None if it needs
-    no gradient.
+    Tensor. It may return None for an input that needed no gradient when
+    the op ran (closing over that input's ``requires_grad`` to know). It is
+    recorded only while a tape is active and some input requires a
+    gradient; otherwise it is dropped unused. The output's key is its
+    entry's position on the tape. Each input's target is its key if this
+    tape recorded it, the input itself if it requires a gradient otherwise
+    (a leaf, or an output of another tape), and None if it needs no
+    gradient.
     """
     tape = _TAPE_STACK[-1] if _TAPE_STACK else None
     needs = tape is not None and any(t.requires_grad for t in inputs)
@@ -209,9 +211,10 @@ def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
     ad, bd = a.data, b.data
+    a_needs = a.requires_grad
 
     def rule(g):
-        return g @ bd.T, ad.T @ g
+        return (g @ bd.T if a_needs else None), ad.T @ g
 
     return _result(ad @ bd, (a, b), rule)
 
@@ -330,7 +333,7 @@ def gather_rows(x, adj, endpoint):
     def rule(g):
         return (kernels.scatter_rows(g, adj, endpoint),)
 
-    return _result(x.data[idx], (x,), rule)
+    return _result(np.take(x.data, idx, axis=0), (x,), rule)
 
 
 def scatter_rows(x, adj, endpoint):
@@ -342,7 +345,7 @@ def scatter_rows(x, adj, endpoint):
     idx = adj.endpoint(endpoint)
 
     def rule(g):
-        return (g[idx],)
+        return (np.take(g, idx, axis=0),)
 
     return _result(kernels.scatter_rows(x.data, adj, endpoint), (x,), rule)
 
@@ -399,13 +402,16 @@ def gated_aggregate(center, neighbor, values, adj):
             f"{neighbor.data.shape[1]}, values {values.data.shape[1]}")
     src = adj.src
     vd = values.data
-    gates = center.data + neighbor.data[src]
+    gates = center.data + np.take(neighbor.data, src, axis=0)
     _logistic(gates, gates)
     data = kernels.gated_neighbor_sum(vd, gates, adj, "dst")
 
     def rule(g):
-        gv = kernels.gated_neighbor_sum(g, gates, adj, "src")
-        gx = vd[src] * g[adj.dst]
+        # the "src" gated_neighbor_sum, spelled out so that g[dst] is
+        # gathered once for both gradients
+        g_dst = np.take(g, adj.dst, axis=0)
+        gv = kernels.scatter_rows(gates * g_dst, adj, "src")
+        gx = np.take(vd, src, axis=0) * g_dst
         gx *= gates
         gx *= 1.0 - gates
         return gv, gx, kernels.scatter_rows(gx, adj, "src")
@@ -438,10 +444,13 @@ def batch_norm(x, gamma, beta):
     xhat = (x.data - mean) * inv_std
     gd = gamma.data
     data = xhat * gd + beta.data
+    x_needs = x.requires_grad
 
     def rule(g):
-        gx = g * gd
-        gx = inv_std / n * (n * gx - gx.sum(axis=0) - xhat * (gx * xhat).sum(axis=0))
+        gx = None
+        if x_needs:
+            gx = g * gd
+            gx = inv_std / n * (n * gx - gx.sum(axis=0) - xhat * (gx * xhat).sum(axis=0))
         return (g * xhat).sum(axis=0), g.sum(axis=0), gx
 
     return _result(data, (gamma, beta, x), rule)

@@ -53,6 +53,32 @@ def test_matmul_values_and_grads():
     assert np.array_equal(b.grad, a.data.T @ np.ones((2, 2)))
 
 
+def test_rules_skip_the_gradient_of_an_input_that_needs_none():
+    rng = np.random.default_rng(3)
+    x_data, c_data = rng.normal(size=(6, 3)), rng.normal(size=(6, 4))
+    w_data, gamma_data = rng.normal(size=(3, 4)), rng.normal(size=4)
+
+    def run(inputs_need_grad):
+        x = Tensor(x_data, requires_grad=inputs_need_grad)
+        c = Tensor(c_data, requires_grad=inputs_need_grad)
+        params = [Tensor(w_data, requires_grad=True),
+                  Tensor(gamma_data, requires_grad=True),
+                  Tensor(np.zeros(4), requires_grad=True)]
+        with Tape() as tape:
+            loss = sum_all(hadamard(matmul(x, params[0]), batch_norm(c, *params[1:])))
+        (_, _, matmul_rule), (_, _, norm_rule) = tape.ops[:2]
+        g = np.ones((6, 4))
+        skipped = (matmul_rule(g)[0] is None, norm_rule(g)[2] is None)
+        backward(loss)
+        return skipped, [p.grad for p in params]
+
+    skipped, grads = run(False)
+    kept, expect = run(True)
+    assert skipped == (True, True) and kept == (False, False)
+    for got, want in zip(grads, expect):
+        assert np.array_equal(got, want)
+
+
 def test_matmul_shape_error():
     a = Tensor(np.ones((2, 3)))
     b = Tensor(np.ones((2, 3)))

@@ -171,6 +171,57 @@ def test_seedless_component_gets_majority_and_flag():
     assert np.array_equal(result.potentials[4:], [[0.0, 1.0]] * 3)
 
 
+def component_oracle_flags(graph, seed_mask):
+    """Nodes in no seed's component, by scipy's connected_components."""
+    _, component = connected_components(build_laplacian(graph), directed=False)
+    return ~np.isin(component, np.unique(component[seed_mask]))
+
+
+def seedless_communities(rng_seed):
+    """A clustering graph with no cross-community edges, two seeds dropped."""
+    inst = make_clustering_instance(0.0, rng_seed=rng_seed)
+    mask = inst.seed_mask.copy()
+    mask[np.flatnonzero(mask)[[1, 6]]] = False
+    return inst.graph, mask, None
+
+
+def mask_of(n, seeds):
+    mask = np.zeros(n, dtype=bool)
+    mask[seeds] = True
+    return mask
+
+
+# (graph, seed mask, number of flagged nodes, None where not worked out)
+REACH_CASES = {
+    # 0 and 11 are isolated seeds, 1 and 10 isolated non-seeds; the clique
+    # {2, 3, 4} holds a seed, the path 5-6-7 and the edge 8-9 hold none
+    "isolated_nodes_and_seedless_components": (
+        graph_from_pairs(12, clique_pairs([2, 3, 4]) + [(5, 6), (6, 7), (8, 9)]),
+        mask_of(12, [0, 2, 11]), 7),
+    "long_path_seeded_at_one_end": (
+        graph_from_pairs(60, [(i, i + 1) for i in range(59)]), mask_of(60, [0]), 0),
+    "long_path_beside_a_seedless_path": (
+        graph_from_pairs(66, [(i, i + 1) for i in range(59)]
+                         + [(i, i + 1) for i in range(60, 65)]),
+        mask_of(66, [30]), 6),
+    "all_seeds": (graph_from_pairs(5, [(0, 1), (2, 3)]), np.ones(5, dtype=bool), 0),
+    "clustering_graph_with_seedless_communities": seedless_communities(4),
+}
+
+
+@pytest.mark.parametrize("case", REACH_CASES)
+def test_flagged_matches_connected_components(case):
+    graph, seed_mask, n_flagged = REACH_CASES[case]
+    labels = np.zeros(graph.n_nodes, dtype=np.int64)
+    result = dirichlet_assign(graph, seed_mask, labels, n_classes=2)
+    expect = component_oracle_flags(graph, seed_mask)
+    assert np.array_equal(result.flagged, expect)
+    if n_flagged is None:
+        assert expect.any()
+    else:
+        assert int(expect.sum()) == n_flagged
+
+
 def test_seeds_keep_their_labels():
     inst = make_clustering_instance(0.1, rng_seed=2)
     result = dirichlet_assign(inst.graph, inst.seed_mask, inst.targets, 10)
