@@ -38,6 +38,7 @@ from .tensor import Tape, backward
 from .training import (
     TrainSettings,
     accuracy,
+    check_run_counts,
     make_instance_fn,
     record_key,
     stored_json,
@@ -99,6 +100,8 @@ def validate_spec(spec):
         raise ContractError("at least one architecture is required")
     if spec.trials < 1:
         raise ContractError("trials must be >= 1")
+    check_run_counts(spec.n_iters, spec.eval_instances, spec.curve_every,
+                     spec.curve_instances)
     if not spec.values:
         raise ContractError("at least one sweep value is required")
     if spec.sweep == "budget":
@@ -424,6 +427,8 @@ def parse_experiment_file(path):
 
 def run_dirichlet_baseline(q_noise, n_instances, seed):
     """Mean accuracy of harmonic label propagation on fresh clustering graphs."""
+    if n_instances < 1:
+        raise ContractError("n_instances must be >= 1")
     accs = []
     flagged_total = 0
     for k in range(n_instances):

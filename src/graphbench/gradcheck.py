@@ -25,7 +25,6 @@ from .tensor import (
     bias_add,
     gated_aggregate,
     gather_rows,
-    gated_neighbor_sum,
     hadamard,
     matmul,
     neighbor_sum,
@@ -160,10 +159,6 @@ def op_checks(seed=0):
     projn = Tensor(rng.normal(size=(graph.n_nodes, 4)))
     checks.append(("neighbor_sum",
                    lambda: _scalarize(neighbor_sum(h, adj), projn), [("h", h)]))
-    gates = Tensor(rng.uniform(0.1, 0.9, size=(adj.n_edges, 4)), requires_grad=True)
-    checks.append(("gated_neighbor_sum",
-                   lambda: _scalarize(gated_neighbor_sum(h, gates, adj), projn),
-                   [("h", h), ("gates", gates)]))
     center = _param(rng, small.n_edges, 4)
     neighbor = _param(rng, 6, 4)
     values = _param(rng, 6, 4)

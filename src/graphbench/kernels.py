@@ -4,7 +4,8 @@ Each kernel is one product of a cached unit-valued CSR operator of the
 graph (see ``SparseAdjacency``) with a dense array. ``to`` names the edge
 endpoint whose node rows receive the sums: ``"dst"`` aggregates along the
 edges, ``"src"`` along reversed edges, which is the backward of the
-``"dst"`` direction.
+``"dst"`` direction. ``gated_neighbor_sum`` has only the ``"dst"``
+direction; ``tensor.gated_aggregate`` spells out its backward.
 
 The products are bit-identical to an unbuffered scatter-add that visits
 the edges in storage order. scipy's CSR product fills each output row
@@ -28,7 +29,6 @@ def neighbor_sum(h, adj, to):
     return adj.adjacency_matrix(to) @ h
 
 
-def gated_neighbor_sum(h, gates, adj, to):
-    """out[dst[e]] += gates[e] * h[src[e]] for every edge e (``to="src"``: reversed)."""
-    source = adj.endpoint("src" if to == "dst" else "dst")
-    return adj.incidence(to) @ (gates * np.take(h, source, axis=0))
+def gated_neighbor_sum(h, gates, adj):
+    """out[dst[e]] += gates[e] * h[src[e]] for every edge e."""
+    return adj.incidence("dst") @ (gates * np.take(h, adj.src, axis=0))

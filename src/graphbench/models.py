@@ -39,7 +39,6 @@ from .tensor import (
     bias_add,
     gated_aggregate,
     gather_rows,
-    gated_neighbor_sum,
     hadamard,
     matmul,
     neighbor_sum,
@@ -248,7 +247,7 @@ class ConvLayer(Module):
     gated_gcn keeps both terms; commnet drops the edge gates and aggregates
     with the plain neighbor sum; edge_gcn drops the center term U h_i.
     Gates are computed from this layer's input, fused with the sum they
-    weight, unless ``gates`` (one row per edge) is passed.
+    weight in one ``gated_aggregate``.
     The class-level ``arch`` is the default variant; each instance sets its
     own.
     """
@@ -271,19 +270,15 @@ class ConvLayer(Module):
             self.gate_neighbor = Linear(rng, hidden_dim, hidden_dim)
         self.norm = BatchNorm(hidden_dim) if use_norm else None
 
-    def __call__(self, h, adj, gates=None):
+    def __call__(self, h, adj):
         if not self.gated:
-            if gates is not None:
-                raise ContractError("commnet has no edge gates")
             agg = neighbor_sum(matmul(h, self.neighbor.weight), adj)
-        elif gates is None:
+        else:
             # gate_center, gate_neighbor, then the neighbor map: backward
             # sums h's gradients in the reverse of this order
             center = gather_rows(self.gate_center(h), adj, "dst")
             neighbor = self.gate_neighbor(h)
             agg = gated_aggregate(center, neighbor, matmul(h, self.neighbor.weight), adj)
-        else:
-            agg = gated_neighbor_sum(matmul(h, self.neighbor.weight), gates, adj)
         pre = bias_add(agg, self.neighbor.bias)
         if self.centered:
             pre = add(self.center(h), pre)

@@ -361,33 +361,15 @@ def neighbor_sum(h, adj):
     return _result(data, (h,), rule)
 
 
-def gated_neighbor_sum(h, gates, adj):
-    """Row i = sum over in-edges (j -> i) of gates_e * h_j, differentiable in both."""
-    _check_node_rows(h, adj, "gated_neighbor_sum")
-    if gates.data.ndim != 2:
-        raise ShapeError("gated_neighbor_sum expects 2-d tensors")
-    if gates.data.shape != (adj.n_edges, h.data.shape[1]):
-        raise GraphStructureError(
-            f"expected one gate row per edge: {gates.data.shape} vs {adj.n_edges} edges"
-        )
-    hd, gd = h.data, gates.data
-    data = kernels.gated_neighbor_sum(hd, gd, adj, "dst")
-
-    def rule(g):
-        return (kernels.gated_neighbor_sum(g, gd, adj, "src"),
-                hd[adj.src] * g[adj.dst])
-
-    return _result(data, (h, gates), rule)
-
-
 def gated_aggregate(center, neighbor, values, adj):
     """Row i = sum over in-edges e = (j -> i) of sigmoid(center_e + neighbor_j) * values_j.
 
     ``center`` has one row per edge; ``neighbor`` and ``values`` have one
     row per node. The result and gradients are bit-identical to the chain
-    gather_rows(neighbor, "src"), add, sigmoid, gated_neighbor_sum: the op
-    performs the chain's floating-point operations in the chain's order,
-    but as one tape entry that keeps only the E x H gate array.
+    of gather_rows(neighbor, "src"), add, sigmoid and a differentiable
+    gated sum: the op performs the chain's floating-point operations in
+    the chain's order, but as one tape entry that keeps only the E x H
+    gate array.
     """
     _check_node_rows(neighbor, adj, "gated_aggregate")
     _check_node_rows(values, adj, "gated_aggregate")
@@ -404,11 +386,10 @@ def gated_aggregate(center, neighbor, values, adj):
     vd = values.data
     gates = center.data + np.take(neighbor.data, src, axis=0)
     _logistic(gates, gates)
-    data = kernels.gated_neighbor_sum(vd, gates, adj, "dst")
+    data = kernels.gated_neighbor_sum(vd, gates, adj)
 
     def rule(g):
-        # the "src" gated_neighbor_sum, spelled out so that g[dst] is
-        # gathered once for both gradients
+        # g[dst] is gathered once for both gradients
         g_dst = np.take(g, adj.dst, axis=0)
         gv = kernels.scatter_rows(gates * g_dst, adj, "src")
         gx = np.take(vd, src, axis=0) * g_dst

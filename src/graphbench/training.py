@@ -197,6 +197,22 @@ def evaluate(model, instances):
     return float(np.mean(accs)), accs
 
 
+def check_run_counts(n_iters, eval_instances, curve_every, curve_instances):
+    """Reject counts that would leave a run nothing to train on or average.
+
+    ``curve_every`` is 0 for no curve; ``curve_instances`` matters only
+    when there is one.
+    """
+    if n_iters < 1:
+        raise ContractError("n_iters must be >= 1")
+    if eval_instances < 1:
+        raise ContractError("eval_instances must be >= 1")
+    if curve_every < 0:
+        raise ContractError("curve_every must be >= 0 (0 records no curve)")
+    if curve_every and curve_instances < 1:
+        raise ContractError("curve_instances must be >= 1 to record a curve")
+
+
 @dataclass
 class TrainSettings:
     task: str
@@ -212,8 +228,8 @@ class TrainSettings:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ContractError(f"unknown task {self.task!r}")
-        if self.n_iters < 1:
-            raise ContractError("n_iters must be >= 1")
+        check_run_counts(self.n_iters, self.eval_instances, self.curve_every,
+                         self.curve_instances)
 
 
 @dataclass

@@ -25,7 +25,7 @@ from graphbench.models import (
     count_params,
     solve_hidden_for_budget,
 )
-from graphbench.tensor import Tensor, neighbor_sum, gated_neighbor_sum
+from graphbench.tensor import Tensor, gated_aggregate, neighbor_sum
 from graphbench.training import task_dims
 
 BAND = 0.02  # accuracy slack for the depth-trend checks, in absolute points
@@ -75,6 +75,8 @@ def test_criterion_02_sparse_aggregation_is_exact():
     plain.neighbor.bias.data = gated.neighbor.bias.data.copy()
     plain.norm.gamma.data = gated.norm.gamma.data.copy()
     plain.norm.beta.data = gated.norm.beta.data.copy()
+    # sigmoid(+inf) is exactly 1.0: every gate of the gated layer is open
+    gated.gate_center.bias.data[:] = np.inf
 
     checked = 0
     for _ in range(200):
@@ -85,11 +87,12 @@ def test_criterion_02_sparse_aggregation_is_exact():
         h_int = Tensor(rng.integers(-4, 5, size=(graph.n_nodes, 8)).astype(float))
         agg = neighbor_sum(h_int, adj)
         assert np.array_equal(agg.data, dense @ h_int.data)
-        ones = Tensor(np.ones((adj.n_edges, 8)))
-        assert np.array_equal(gated_neighbor_sum(h_int, ones, adj).data, agg.data)
+        open_gates = Tensor(np.full((adj.n_edges, 8), np.inf))
+        zero = Tensor(np.zeros((graph.n_nodes, 8)))
+        assert np.array_equal(gated_aggregate(open_gates, zero, h_int, adj).data, agg.data)
         # unit gates collapse the gated layer onto the plain one bit-for-bit
         h = Tensor(rng.normal(size=(graph.n_nodes, 8)))
-        out_gated = gated(h, adj, gates=ones)
+        out_gated = gated(h, adj)
         out_plain = plain(h, adj)
         assert np.array_equal(out_gated.data, out_plain.data)
         assert graph.n_nodes <= 20

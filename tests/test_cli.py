@@ -128,6 +128,18 @@ def test_dirichlet_cli(tmp_path, capsys):
     assert blob["n_instances"] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["dirichlet", "--count", "0"],
+    ["train", "--arch", "commnet", "--task", "matching", "--hidden", "4",
+     "--iters", "1", "--eval-instances", "0"],
+], ids=["dirichlet-no-instances", "train-no-eval-instances"])
+def test_counts_below_one_exit_2(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_gradcheck_cli_passes():
     assert main(["gradcheck"]) == 0
 

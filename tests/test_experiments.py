@@ -101,6 +101,19 @@ def test_spec_validation():
         tiny_spec(sweep="noise", values=(1.5,))
 
 
+@pytest.mark.parametrize("counts", [
+    dict(n_iters=0),
+    dict(eval_instances=0),
+    dict(sweep="learning_speed", values=(0,), curve_instances=0),
+    dict(sweep="learning_speed", values=(0,), curve_every=-1),
+], ids=["no-iters", "no-eval-instances", "no-curve-instances",
+        "negative-curve-every"])
+def test_spec_rejects_counts_below_one(counts):
+    # a sweep fails before its first cell, not in every cell or with NaN
+    with pytest.raises(ContractError):
+        tiny_spec(**counts)
+
+
 def test_resolve_cell_applies_sweep_value():
     cfg, s = resolve_cell(tiny_spec(values=(4,)), "commnet", 4, 0)
     assert cfg.n_layers == 4 and cfg.hidden_dim == 8
@@ -216,6 +229,11 @@ def test_measure_batch_time_reports_median():
     assert len(rec["repeat_ms"]) == 3
     assert rec["batch_time_ms"] == float(np.median(rec["repeat_ms"]))
     assert rec["batch_time_ms"] > 0.0
+
+
+def test_dirichlet_baseline_rejects_no_instances():
+    with pytest.raises(ContractError):
+        run_dirichlet_baseline(0.1, n_instances=0, seed=0)
 
 
 def test_dirichlet_baseline_summary():

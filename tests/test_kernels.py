@@ -58,8 +58,11 @@ def test_all_directions_bit_identical_to_add_at(graph_id, to):
     got = kernels.neighbor_sum(h, adj, to)
     assert isinstance(got, np.ndarray)
     assert np.array_equal(got, add_at(h[out_of], into, n))
-    got = kernels.gated_neighbor_sum(h, gates, adj, to)
-    assert np.array_equal(got, add_at(gates * h[out_of], into, n))
+    if to == "dst":
+        # the gated kernel has one direction; its backward is spelled out
+        # in tensor.gated_aggregate
+        got = kernels.gated_neighbor_sum(h, gates, adj)
+        assert np.array_equal(got, add_at(gates * h[out_of], into, n))
     got = kernels.scatter_rows(rows, adj, to)
     assert np.array_equal(got, add_at(rows, into, n))
 
@@ -122,17 +125,17 @@ def test_gated_neighbor_sum_matches_loop():
         expect = np.zeros_like(h)
         for e in range(adj.n_edges):
             expect[adj.dst[e]] += gates[e] * h[adj.src[e]]
-        got = kernels.gated_neighbor_sum(h, gates, adj, "dst")
+        got = kernels.gated_neighbor_sum(h, gates, adj)
         assert np.array_equal(got, expect)
 
 
 def test_empty_edge_set():
     h = np.ones((4, 2))
     empty = SparseAdjacency(4, [], [])
+    assert np.array_equal(kernels.gated_neighbor_sum(h, np.ones((0, 2)), empty),
+                          np.zeros((4, 2)))
     for to in ("dst", "src"):
         assert np.array_equal(kernels.neighbor_sum(h, empty, to), np.zeros((4, 2)))
-        assert np.array_equal(kernels.gated_neighbor_sum(h, np.ones((0, 2)), empty, to),
-                              np.zeros((4, 2)))
         assert np.array_equal(kernels.scatter_rows(np.ones((0, 2)), empty, to),
                               np.zeros((4, 2)))
 

@@ -151,10 +151,13 @@ def test_unit_gates_reduce_gated_to_commnet_bitwise():
 
     graph = small_graph(3)
     h = Tensor(np.random.default_rng(9).normal(size=(graph.n_nodes, 6)))
-    ones = Tensor(np.ones((graph.adjacency.n_edges, 6)))
-    out_gated = gated(h, graph.adjacency, gates=ones)
     out_plain = plain(h, graph.adjacency)
-    assert np.array_equal(out_gated.data, out_plain.data)
+    # sigmoid(+inf) is exactly 1.0, so every gate is fully open
+    gated.gate_center.bias.data[:] = np.inf
+    assert np.array_equal(gated(h, graph.adjacency).data, out_plain.data)
+    # a large finite bias leaves the gates just short of 1.0, which shows
+    gated.gate_center.bias.data[:] = 30.0
+    assert not np.array_equal(gated(h, graph.adjacency).data, out_plain.data)
 
 
 def test_ggnn_zero_weights_halves_state_each_step():

@@ -1,8 +1,10 @@
+import inspect
 import weakref
 
 import numpy as np
 import pytest
 
+from graphbench import tensor
 from graphbench.adjacency import SparseAdjacency
 from graphbench.errors import (
     ContractError,
@@ -12,16 +14,17 @@ from graphbench.errors import (
     ShapeError,
 )
 from graphbench.generators import SbmParams, sbm_generate
+from graphbench.gradcheck import op_checks
 from graphbench.tensor import (
     Tape,
     Tensor,
+    _result,
     add,
     backward,
     batch_norm,
     bias_add,
     gated_aggregate,
     gather_rows,
-    gated_neighbor_sum,
     hadamard,
     matmul,
     neighbor_sum,
@@ -310,21 +313,26 @@ def test_neighbor_sum_line_graph():
     assert np.array_equal(h.grad, [[1.0], [2.0], [1.0]])
 
 
-def test_gated_neighbor_sum_closed_and_open():
-    adj = line_graph(3)
-    h = Tensor(np.array([[1.0], [10.0], [100.0]]))
-    zeros = Tensor(np.zeros((adj.n_edges, 1)))
-    ones = Tensor(np.ones((adj.n_edges, 1)))
-    assert np.array_equal(gated_neighbor_sum(h, zeros, adj).data, np.zeros((3, 1)))
-    assert np.array_equal(gated_neighbor_sum(h, ones, adj).data,
-                          neighbor_sum(h, adj).data)
-
-
-def test_gated_neighbor_sum_gate_shape_checked():
-    adj = line_graph(3)
-    h = Tensor(np.ones((3, 2)))
-    with pytest.raises(GraphStructureError):
-        gated_neighbor_sum(h, Tensor(np.ones((adj.n_edges + 1, 2))), adj)
+def test_gated_aggregate_closed_and_open():
+    # sigmoid(-inf) is exactly 0.0 and sigmoid(+inf) exactly 1.0, whatever
+    # the finite neighbor term
+    graphs = [
+        line_graph(3),
+        SparseAdjacency(4, [], []),
+        # node 4 has no edges
+        SparseAdjacency(5, [0, 0, 1, 3, 1], [1, 2, 2, 1, 0]),
+    ]
+    rng = np.random.default_rng(5)
+    for adj in graphs:
+        n, n_edges = adj.n_nodes, adj.n_edges
+        values = Tensor(rng.normal(size=(n, 3)))
+        neighbor = Tensor(rng.normal(size=(n, 3)))
+        closed = Tensor(np.full((n_edges, 3), -np.inf))
+        opened = Tensor(np.full((n_edges, 3), np.inf))
+        assert np.array_equal(gated_aggregate(closed, neighbor, values, adj).data,
+                              np.zeros((n, 3)))
+        assert np.array_equal(gated_aggregate(opened, neighbor, values, adj).data,
+                              neighbor_sum(values, adj).data)
 
 
 GATED_AGGREGATE_GRAPHS = [
@@ -357,9 +365,27 @@ def _gated_chain_and_grads(op, adj, seed):
     return out.data, center.grad, neighbor.grad, values.grad
 
 
+def _add_at(rows, idx, n_out):
+    out = np.zeros((n_out, rows.shape[1]))
+    np.add.at(out, idx, rows)
+    return out
+
+
+def _gated_neighbor_sum(h, gates, adj):
+    """Row i sums gates_e * h_j over in-edges e = (j -> i), differentiable
+    in both, on the np.add.at reference the kernels match bit for bit."""
+    hd, gd = h.data, gates.data
+
+    def rule(g):
+        g_dst = g[adj.dst]
+        return _add_at(gd * g_dst, adj.src, adj.n_nodes), hd[adj.src] * g_dst
+
+    return _result(_add_at(gd * hd[adj.src], adj.dst, adj.n_nodes), (h, gates), rule)
+
+
 def _unfused_gated_aggregate(center, neighbor, values, adj):
     gates = sigmoid(add(center, gather_rows(neighbor, adj, "src")))
-    return gated_neighbor_sum(values, gates, adj)
+    return _gated_neighbor_sum(values, gates, adj)
 
 
 @pytest.mark.parametrize("graph_id", range(len(GATED_AGGREGATE_GRAPHS)))
@@ -389,6 +415,19 @@ def test_gated_aggregate_shapes_checked():
         gated_aggregate(center, Tensor(np.ones((n + 1, 2))), node_rows, adj)
     with pytest.raises(GraphStructureError):
         gated_aggregate(center, node_rows, Tensor(np.ones((n - 1, 2))), adj)
+
+
+def test_every_public_op_has_a_gradient_check():
+    ops = {name for name, fn in inspect.getmembers(tensor, inspect.isfunction)
+           if fn.__module__ == tensor.__name__ and not name.startswith("_")
+           and name != "backward"}
+    checked = [name for name, _, _ in op_checks()]
+
+    def covers(check, op):
+        return check == op or check.startswith(op + "_")
+
+    assert {op for op in ops if not any(covers(c, op) for c in checked)} == set()
+    assert [c for c in checked if not any(covers(c, op) for op in ops)] == []
 
 
 def test_sum_all_grad_is_ones():

@@ -132,6 +132,18 @@ def test_train_rejects_wrong_dims():
         train(cfg, TrainSettings(task="matching", n_iters=1))
 
 
+@pytest.mark.parametrize("counts", [
+    dict(eval_instances=0),
+    dict(curve_every=1, curve_instances=0),
+    dict(curve_every=-1),
+], ids=["no-eval-instances", "no-curve-instances", "negative-curve-every"])
+def test_settings_reject_counts_below_one(counts):
+    # each would average an empty list into a NaN accuracy, or (a negative
+    # curve_every) evaluate the curve every iteration
+    with pytest.raises(ContractError):
+        TrainSettings(task="matching", n_iters=1, **counts)
+
+
 def test_train_smoke_every_architecture():
     for arch in ("vrnn", "ggnn", "glstm", "commnet", "edge_gcn", "gated_gcn"):
         cfg = tiny_config(arch, task="clustering")
