@@ -15,9 +15,8 @@ import os
 import numpy as np
 
 from .experiments import ExperimentSpec, batch_timer, run_dirichlet_baseline, run_experiment
-from .models import ModelConfig, solve_hidden_for_budget
 from .seeding import derive_seed
-from .training import stored_json, task_dims
+from .training import model_config, stored_json
 
 MASTER_SEED = 2026
 BUDGET = 100_000
@@ -66,14 +65,8 @@ def glstm_depth_spec():
 
 def timing_configs():
     """Both timing contenders at equal budget: L=6, T=3, 100K params."""
-    out = {}
-    for arch in ("gated_gcn", "glstm"):
-        input_dim, n_classes = task_dims("clustering")
-        hidden = solve_hidden_for_budget(arch, 6, BUDGET, input_dim, n_classes)
-        out[arch] = ModelConfig(arch=arch, n_layers=6, hidden_dim=hidden,
-                                input_dim=input_dim, n_classes=n_classes,
-                                inner_steps=3, residual=True)
-    return out
+    return {arch: model_config(arch, "clustering", 6, budget=BUDGET, inner_steps=3)
+            for arch in ("gated_gcn", "glstm")}
 
 
 def measure_timing():

@@ -28,19 +28,18 @@ from .generators import (
     TASKS,
     graph_to_text,
     instance_to_text,
-    make_clustering_instance,
-    make_matching_instance,
     make_pattern,
     validate_sbm_stats,
 )
-from .models import ModelConfig, solve_hidden_for_budget
 from .seeding import derive_seed
 from .training import (
+    OPTIMIZER_CHOICES,
     TrainReport,
     TrainSettings,
+    make_instance_fn,
+    model_config,
     record_key,
     stored_json,
-    task_dims,
     train,
     write_json,
     write_series_csv,
@@ -72,7 +71,7 @@ def _add_train(sub):
     p.add_argument("--norm", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--q", type=float, default=0.1)
     p.add_argument("--iters", type=int, default=5000)
-    p.add_argument("--optimizer", default="auto", choices=("auto", "adam", "sgd"))
+    p.add_argument("--optimizer", default="auto", choices=OPTIMIZER_CHOICES)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eval-instances", type=int, default=100)
@@ -104,19 +103,14 @@ def _add_gradcheck(sub):
 
 
 def cmd_gen(args):
+    # draw every instance first, so a refused run writes nothing
+    instance_fn = make_instance_fn(args.task, args.q, args.seed)
+    instances = [instance_fn(derive_seed(args.seed, "gen", k)) for k in range(args.count)]
     os.makedirs(args.out, exist_ok=True)
-    instances = []
     if args.task == TASK_MATCHING:
+        # the same pattern make_instance_fn embeds in every instance
         pattern = make_pattern(derive_seed(args.seed, "pattern"))
         write_text(os.path.join(args.out, "pattern.txt"), graph_to_text(pattern))
-        for k in range(args.count):
-            inst, _ = make_matching_instance(args.q, derive_seed(args.seed, "gen", k),
-                                             pattern)
-            instances.append(inst)
-    else:
-        for k in range(args.count):
-            instances.append(make_clustering_instance(args.q,
-                                                      derive_seed(args.seed, "gen", k)))
     for k, inst in enumerate(instances):
         write_text(os.path.join(args.out, f"instance-{k:04d}.txt"),
                    instance_to_text(inst))
@@ -132,17 +126,10 @@ def cmd_gen(args):
 
 
 def cmd_train(args):
-    input_dim, n_classes = task_dims(args.task)
     if (args.hidden is None) == (args.budget is None):
         raise ContractError("set exactly one of --hidden or --budget")
-    hidden = args.hidden
-    if hidden is None:
-        hidden = solve_hidden_for_budget(args.arch, args.layers, args.budget,
-                                         input_dim, n_classes, args.norm)
-    config = ModelConfig(arch=args.arch, n_layers=args.layers, hidden_dim=hidden,
-                         input_dim=input_dim, n_classes=n_classes,
-                         inner_steps=args.inner_steps, residual=args.residual,
-                         use_norm=args.norm)
+    config = model_config(args.arch, args.task, args.layers, args.hidden, args.budget,
+                          args.inner_steps, args.residual, args.norm)
     settings = TrainSettings(task=args.task, q_noise=args.q, n_iters=args.iters,
                              optimizer=args.optimizer, learning_rate=args.lr,
                              seed=args.seed, eval_instances=args.eval_instances,

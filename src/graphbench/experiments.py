@@ -31,8 +31,8 @@ import numpy as np
 
 from .dirichlet import dirichlet_assign
 from .errors import BudgetError, ContractError, SolverError, TrainingDivergedError
-from .generators import TASKS, make_clustering_instance
-from .models import ARCHITECTURES, GraphModel, ModelConfig, solve_hidden_for_budget
+from .generators import make_clustering_instance
+from .models import GraphModel
 from .seeding import derive_seed
 from .tensor import Tape, backward
 from .training import (
@@ -40,9 +40,9 @@ from .training import (
     accuracy,
     check_run_counts,
     make_instance_fn,
+    model_config,
     record_key,
     stored_json,
-    task_dims,
     train,
     weighted_loss,
     write_json,
@@ -89,61 +89,34 @@ class ExperimentSpec:
 
 
 def validate_spec(spec):
+    """Check the grid, then resolve one cell per (arch, value), so every value
+    is checked where it is used before anything is written; a budget too
+    small to fit stays a per-cell error record."""
     if spec.sweep not in SWEEP_KINDS:
         raise ContractError(f"unknown sweep kind {spec.sweep!r}")
-    if spec.task not in TASKS:
-        raise ContractError(f"unknown task {spec.task!r}")
-    for arch in spec.archs:
-        if arch not in ARCHITECTURES:
-            raise ContractError(f"unknown architecture {arch!r}")
     if not spec.archs:
         raise ContractError("at least one architecture is required")
-    if spec.trials < 1:
-        raise ContractError("trials must be >= 1")
-    check_run_counts(spec.n_iters, spec.eval_instances, spec.curve_every,
-                     spec.curve_instances)
     if not spec.values:
         raise ContractError("at least one sweep value is required")
-    if spec.sweep == "budget":
-        if spec.hidden_dim is not None:
-            raise ContractError("budget sweeps solve the width; drop hidden_dim")
-        if any(int(v) < 1 for v in spec.values):
-            raise ContractError("budgets must be positive")
-    else:
-        if spec.hidden_dim is None and spec.budget is None:
-            raise ContractError("set hidden_dim or budget")
-    if spec.sweep == "noise" and any(not 0.0 <= float(v) <= 1.0 for v in spec.values):
-        raise ContractError("noise values must lie in [0, 1]")
-    if spec.sweep in ("layers", "inner_steps") and any(int(v) < 1 for v in spec.values):
-        raise ContractError(f"{spec.sweep} values must be >= 1")
+    if spec.trials < 1:
+        raise ContractError("trials must be >= 1")
+    if spec.sweep == "budget" and spec.hidden_dim is not None:
+        raise ContractError("budget sweeps solve the width; drop hidden_dim")
+    # only learning_speed cells pass the curve fields on to TrainSettings
+    check_run_counts(spec.n_iters, spec.eval_instances, spec.curve_every,
+                     spec.curve_instances)
+    for arch in spec.archs:
+        for value in spec.values:
+            try:
+                resolve_cell(spec, arch, value, 0)
+            except BudgetError:
+                pass
 
 
 def resolve_cell(spec, arch, value, trial):
-    """(ModelConfig, TrainSettings) for one grid cell."""
-    input_dim, n_classes = task_dims(spec.task)
-    q = spec.q_noise
-    n_layers = spec.n_layers
-    inner = spec.inner_steps
-    budget = spec.budget
-    if spec.sweep == "noise":
-        q = float(value)
-    elif spec.sweep == "layers":
-        n_layers = int(value)
-    elif spec.sweep == "inner_steps":
-        inner = int(value)
-    elif spec.sweep == "budget":
-        budget = int(value)
-
-    if spec.hidden_dim is not None and spec.sweep != "budget":
-        hidden = spec.hidden_dim
-    else:
-        hidden = solve_hidden_for_budget(arch, n_layers, budget,
-                                         input_dim, n_classes, spec.use_norm)
-
-    config = ModelConfig(arch=arch, n_layers=n_layers, hidden_dim=hidden,
-                         input_dim=input_dim, n_classes=n_classes,
-                         inner_steps=inner, residual=spec.residual,
-                         use_norm=spec.use_norm)
+    """(ModelConfig, TrainSettings) for one grid cell; the settings come first,
+    so a budget too small to fit cannot hide a malformed setting."""
+    q = float(value) if spec.sweep == "noise" else spec.q_noise
     settings = TrainSettings(
         task=spec.task, q_noise=q, n_iters=spec.n_iters,
         optimizer=spec.optimizer, learning_rate=spec.learning_rate,
@@ -151,6 +124,17 @@ def resolve_cell(spec, arch, value, trial):
         eval_instances=spec.eval_instances,
         curve_every=spec.curve_every if spec.sweep == "learning_speed" else 0,
         curve_instances=spec.curve_instances)
+    if spec.sweep in ("layers", "inner_steps", "budget") and not float(value).is_integer():
+        raise ContractError(f"{spec.sweep} values must be whole numbers, got {value!r}")
+    n_layers, inner, budget = spec.n_layers, spec.inner_steps, spec.budget
+    if spec.sweep == "layers":
+        n_layers = int(value)
+    elif spec.sweep == "inner_steps":
+        inner = int(value)
+    elif spec.sweep == "budget":
+        budget = int(value)
+    config = model_config(arch, spec.task, n_layers, spec.hidden_dim, budget,
+                          inner, spec.residual, spec.use_norm)
     return config, settings
 
 
@@ -248,13 +232,12 @@ def _timing_record(spec, arch, value):
         "sweep_value": value,
     }
     try:
-        config, _ = resolve_cell(spec, arch, value, 0)
+        config, settings = resolve_cell(spec, arch, value, 0)
     except BudgetError as exc:
         rec["error"] = f"BudgetError: {exc}"
         return rec
-    q = float(value) if spec.sweep == "noise" else spec.q_noise
     rec.update(measure_batch_time(
-        config, spec.task, q,
+        config, spec.task, settings.q_noise,
         seed=derive_seed(spec.seed, spec.name, "timing", arch, value)))
     rec["error"] = None
     return rec

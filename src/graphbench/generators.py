@@ -43,6 +43,12 @@ TASK_DIMS = {TASK_MATCHING: (N_SIGNALS, 2),
              TASK_CLUSTERING: (CLUSTER_COMMUNITIES + 1, CLUSTER_COMMUNITIES)}
 
 
+def check_probability(name, p):
+    """Raise ContractError unless ``p`` lies in [0, 1] (NaN does not)."""
+    if not 0.0 <= p <= 1.0:
+        raise ContractError(f"{name} must lie in [0, 1], got {p!r}")
+
+
 @dataclass(frozen=True)
 class SbmParams:
     intra_p: float
@@ -50,8 +56,8 @@ class SbmParams:
     community_sizes: tuple
 
     def __post_init__(self):
-        if not (0.0 <= self.inter_q <= 1.0 and 0.0 <= self.intra_p <= 1.0):
-            raise ContractError("edge probabilities must lie in [0, 1]")
+        check_probability("intra_p", self.intra_p)
+        check_probability("inter_q", self.inter_q)
         if len(self.community_sizes) == 0 or any(s < 1 for s in self.community_sizes):
             raise ContractError("community sizes must be positive")
 
@@ -153,6 +159,7 @@ def make_matching_instance(q_noise, rng_seed, pattern=None):
     fresh draws. Returns (instance, pattern) so callers can reuse the
     pattern across a series of instances.
     """
+    check_probability("q_noise", q_noise)
     rng = np.random.default_rng(rng_seed)
     if pattern is None:
         pattern = make_pattern(derive_seed(rng_seed, "pattern"))
@@ -187,6 +194,7 @@ def make_matching_instance(q_noise, rng_seed, pattern=None):
 
 def make_clustering_instance(q_noise, rng_seed):
     """Ten-community SBM with one uniformly chosen seed node per community."""
+    check_probability("q_noise", q_noise)
     rng = np.random.default_rng(rng_seed)
     sizes = rng.integers(CLUSTER_SIZE_RANGE[0], CLUSTER_SIZE_RANGE[1] + 1,
                          size=CLUSTER_COMMUNITIES)

@@ -382,8 +382,11 @@ def solve_hidden_for_budget(arch, n_layers, budget, input_dim, n_classes,
                             use_norm=True):
     """Largest hidden width whose parameter count fits the budget.
 
-    The count is monotone increasing in the width, so bisection applies.
+    The count is monotone increasing in the width, so bisection applies. A
+    budget below 1 is a ContractError, one too small for width 1 a BudgetError.
     """
+    if budget < 1:
+        raise ContractError(f"budget must be >= 1, got {budget!r}")
 
     def count(h):
         return count_params(ModelConfig(arch=arch, n_layers=n_layers, hidden_dim=h,

@@ -11,15 +11,16 @@ Wall-clock numbers are measured once and carried inside the TrainReport;
 everything written to disk is rendered from the report, so a report
 reloaded from JSON reproduces its CSV and summary byte-for-byte.
 
-``stored_json`` is the one store of every cached run record: it loads a
-JSON record, or computes it and writes it atomically first.
+``model_config`` is the one resolver of a run's model shape, and
+``stored_json`` the one store of every cached run record: it loads a JSON
+record, or computes it and writes it atomically first.
 """
 
 import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -28,12 +29,12 @@ from .generators import (
     TASK_CLUSTERING,
     TASK_DIMS,
     TASK_MATCHING,
-    TASKS,
+    check_probability,
     make_clustering_instance,
     make_matching_instance,
     make_pattern,
 )
-from .models import GraphModel, ModelConfig
+from .models import GraphModel, ModelConfig, solve_hidden_for_budget
 from .seeding import derive_seed
 from .tensor import backward, softmax_cross_entropy, Tape
 
@@ -54,6 +55,23 @@ def task_dims(task):
     if task not in TASK_DIMS:
         raise ContractError(f"unknown task {task!r}")
     return TASK_DIMS[task]
+
+
+def model_config(arch, task, n_layers, hidden_dim=None, budget=None,
+                 inner_steps=3, residual=True, use_norm=True):
+    """The ModelConfig of one run on ``task``: ``hidden_dim`` if set, else the
+    largest width that fits ``budget``. Every field is checked before a budget
+    is solved, so only a budget too small to fit raises BudgetError.
+    """
+    if hidden_dim is None and budget is None:
+        raise ContractError("set hidden_dim or budget")
+    input_dim, n_classes = task_dims(task)
+    config = ModelConfig(arch, n_layers, 1 if hidden_dim is None else hidden_dim,
+                         input_dim, n_classes, inner_steps, residual, use_norm)
+    if hidden_dim is None:
+        config = replace(config, hidden_dim=solve_hidden_for_budget(
+            arch, n_layers, budget, input_dim, n_classes, use_norm))
+    return config
 
 
 def default_optimizer(arch, task):
@@ -109,12 +127,14 @@ class Adam:
             p.data -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
 
 
+OPTIMIZERS = {"adam": Adam, "sgd": Sgd}
+OPTIMIZER_CHOICES = ("auto", *OPTIMIZERS)  # "auto": default_optimizer's pick
+
+
 def make_optimizer(kind, lr):
-    if kind == "adam":
-        return Adam(lr)
-    if kind == "sgd":
-        return Sgd(lr)
-    raise ContractError(f"unknown optimizer {kind!r}")
+    if kind not in OPTIMIZERS:
+        raise ContractError(f"unknown optimizer {kind!r}")
+    return OPTIMIZERS[kind](lr)
 
 
 class PlateauSchedule:
@@ -226,8 +246,13 @@ class TrainSettings:
     curve_instances: int = 20
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ContractError(f"unknown task {self.task!r}")
+        task_dims(self.task)  # raises on an unknown task
+        check_probability("q_noise", self.q_noise)
+        if self.optimizer not in OPTIMIZER_CHOICES:
+            raise ContractError(f"unknown optimizer {self.optimizer!r}")
+        if self.learning_rate is not None and not 0.0 < self.learning_rate < np.inf:
+            raise ContractError(f"learning_rate must be finite and > 0, "
+                                f"got {self.learning_rate!r}")
         check_run_counts(self.n_iters, self.eval_instances, self.curve_every,
                          self.curve_instances)
 

@@ -23,10 +23,16 @@ def test_gen_matching_files_parse(tmp_path, capsys):
     assert rc == 0
     pattern = load_graph(out / "pattern.txt")
     assert pattern.n_nodes == 20
+    pattern_pairs = pattern.adjacency.undirected_pairs()
     for k in range(2):
         inst = load_instance(out / f"instance-{k:04d}.txt")
         assert inst.task == "matching"
         assert int(np.sum(inst.targets)) == 20
+        # pattern.txt is the pattern embedded in the last 20 nodes of each instance
+        host_n = inst.graph.n_nodes - 20
+        assert np.array_equal(inst.graph.signal[host_n:], pattern.signal)
+        embedded = {tuple(p) for p in inst.graph.adjacency.undirected_pairs()}
+        assert {(a + host_n, b + host_n) for a, b in pattern_pairs} <= embedded
     assert "wrote 2 matching instances" in capsys.readouterr().out
 
 
@@ -138,6 +144,32 @@ def test_counts_below_one_exit_2(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--task", "clustering", "--count", "2", "--q", "1.5"],
+    ["gen", "--task", "matching", "--count", "2", "--q", "1.5"],
+    ["dirichlet", "--count", "2", "--q", "-0.2"],
+    TRAIN_ARGS + ["--hidden", "4", "--q", "1.5"],
+    TRAIN_ARGS + ["--hidden", "4", "--lr", "-1"],
+], ids=["gen-clustering-q-above-one", "gen-matching-q-above-one",
+        "dirichlet-q-negative", "train-q-above-one", "train-negative-lr"])
+def test_out_of_range_values_exit_2(argv, tmp_path, capsys):
+    # refused before anything is written; gen draws before it makes --out
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_sweep_cli_refuses_a_malformed_cell_before_writing(tmp_path, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("name = bad\nsweep = layers\ntask = matching\n"
+                      "archs = commnet\nvalues = 1\nhidden_dim = 0\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+    assert "hidden_dim must be >= 1" in capsys.readouterr().err
+    assert not (out / "spec.json").exists()
 
 
 def test_gradcheck_cli_passes():

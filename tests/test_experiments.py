@@ -1,4 +1,5 @@
 import json
+import pathlib
 import shutil
 
 import numpy as np
@@ -112,6 +113,51 @@ def test_spec_rejects_counts_below_one(counts):
     # a sweep fails before its first cell, not in every cell or with NaN
     with pytest.raises(ContractError):
         tiny_spec(**counts)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(hidden_dim=0),
+    dict(inner_steps=0),
+    dict(sweep="noise", values=(0.1,), n_layers=0),
+    dict(hidden_dim=None, budget=-5),
+    dict(sweep="budget", values=(-5,), hidden_dim=None),
+    dict(q_noise=1.5),
+    dict(optimizer="bogus"),
+    dict(learning_rate=-1.0),
+    # every cell's budget is too small, which alone stays a per-cell error
+    dict(sweep="budget", values=(10,), hidden_dim=None, q_noise=1.5),
+    dict(sweep="budget", values=(10,), hidden_dim=None, inner_steps=0),
+], ids=["zero-hidden", "zero-inner-steps", "zero-layers", "negative-budget",
+        "negative-budget-value", "q-above-one", "unknown-optimizer", "negative-lr",
+        "q-in-unfit-budget-cell", "inner-steps-in-unfit-budget-cell"])
+def test_spec_rejects_malformed_cells(bad):
+    # each fails before spec.json is written, not at the first cell
+    with pytest.raises(ContractError):
+        tiny_spec(**bad)
+
+
+@pytest.mark.parametrize("sweep", ["layers", "inner_steps", "budget"])
+def test_sweep_values_must_be_whole(sweep):
+    # int(value) would truncate 1.5 to 1, and the cell file would say v1p5
+    extra = {"hidden_dim": None} if sweep == "budget" else {}
+    with pytest.raises(ContractError, match="whole numbers"):
+        tiny_spec(sweep=sweep, values=(1.5,), **extra)
+    whole = 2000.0 if sweep == "budget" else 2.0
+    tiny_spec(sweep=sweep, values=(whole,), **extra)
+
+
+def test_committed_specs_load_and_own_their_cells():
+    # the stricter checks must reject no committed experiment
+    results = pathlib.Path(__file__).resolve().parents[1] / "results"
+    spec_paths = sorted(results.glob("acceptance/*/spec.json")) + \
+        sorted(results.glob("analysis/*/spec.json"))
+    assert len(spec_paths) >= 7
+    for path in spec_paths:
+        spec = ExperimentSpec(**json.loads(path.read_text()))
+        cells = sorted((path.parent / "cells").glob("*.json"))
+        assert cells, path
+        for cell in cells:
+            assert json.loads(cell.read_text())["spec_hash"] == spec.spec_hash(), cell
 
 
 def test_resolve_cell_applies_sweep_value():

@@ -28,6 +28,15 @@ def test_sbm_params_validated():
         SbmParams(0.5, 0.1, (5, 0))
 
 
+@pytest.mark.parametrize("q", [1.5, -0.2, float("nan")])
+def test_instances_reject_noise_outside_unit_interval(q):
+    # u < q would silently clamp q to 0 or 1 instead of failing
+    with pytest.raises(ContractError, match="q_noise must lie in"):
+        make_clustering_instance(q, 0)
+    with pytest.raises(ContractError, match="q_noise must lie in"):
+        make_matching_instance(q, 0)
+
+
 def per_block_edge_pairs(rng, sizes, intra_p, inter_q):
     """Reference: one ``rng.random`` call per block pair, as first written."""
     sizes = np.asarray(sizes, dtype=np.int64)

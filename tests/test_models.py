@@ -105,6 +105,13 @@ def test_budget_solver_infeasible():
         solve_hidden_for_budget("glstm", 6, 10, 11, 10)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_budget_solver_rejects_budget_below_one(budget):
+    # a malformed budget, not one too small for the architecture
+    with pytest.raises(ContractError, match="budget must be >= 1"):
+        solve_hidden_for_budget("commnet", 6, budget, 11, 10)
+
+
 def test_init_is_deterministic_and_in_bounds():
     cfg = config_for("gated_gcn")
     a = GraphModel(cfg, seed=3)

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from graphbench.errors import ContractError, TrainingDivergedError
-from graphbench.models import ModelConfig
+from graphbench.errors import BudgetError, ContractError, TrainingDivergedError
+from graphbench.models import ModelConfig, count_params
 from graphbench.tensor import Tape, Tensor, backward
 from graphbench.training import (
     ADAM_DEFAULT_LR,
@@ -21,6 +21,8 @@ from graphbench.training import (
     default_optimizer,
     evaluate,
     make_instance_fn,
+    make_optimizer,
+    model_config,
     stored_json,
     task_dims,
     train,
@@ -142,6 +144,62 @@ def test_settings_reject_counts_below_one(counts):
     # curve_every) evaluate the curve every iteration
     with pytest.raises(ContractError):
         TrainSettings(task="matching", n_iters=1, **counts)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(q_noise=1.5),
+    dict(q_noise=-0.2),
+    dict(q_noise=float("nan")),
+    dict(optimizer="bogus"),
+    dict(learning_rate=-1.0),
+    dict(learning_rate=0.0),
+    dict(learning_rate=float("nan")),
+    dict(learning_rate=float("inf")),
+], ids=["q-above-one", "q-negative", "q-nan", "unknown-optimizer", "negative-lr",
+        "zero-lr", "nan-lr", "inf-lr"])
+def test_settings_reject_malformed_values(bad):
+    with pytest.raises(ContractError):
+        TrainSettings(task="matching", n_iters=1, **bad)
+
+
+def test_optimizer_kinds_shared_by_settings_and_make_optimizer():
+    for kind in ("auto", "adam", "sgd"):
+        TrainSettings(task="matching", optimizer=kind)
+    assert make_optimizer("adam", 0.1).kind == "adam"
+    assert make_optimizer("sgd", 0.1).kind == "sgd"
+    with pytest.raises(ContractError):
+        make_optimizer("auto", 0.1)  # "auto" is resolved per architecture first
+
+
+def test_model_config_resolves_width_from_hidden_or_budget():
+    cfg = model_config("commnet", "clustering", 2, hidden_dim=8, inner_steps=1)
+    assert cfg == ModelConfig(arch="commnet", n_layers=2, hidden_dim=8, input_dim=11,
+                              n_classes=10, inner_steps=1)
+    # hidden_dim wins over a budget
+    assert model_config("commnet", "clustering", 2, hidden_dim=8, budget=5000) == \
+        model_config("commnet", "clustering", 2, hidden_dim=8)
+    cfg = model_config("gated_gcn", "matching", 3, budget=5000, use_norm=False)
+    assert (cfg.input_dim, cfg.n_classes, cfg.use_norm) == (3, 2, False)
+    assert count_params(cfg) <= 5000
+    wider = ModelConfig(**{**cfg.__dict__, "hidden_dim": cfg.hidden_dim + 1})
+    assert count_params(wider) > 5000
+
+
+def test_model_config_checks_every_field_before_solving():
+    with pytest.raises(ContractError, match="set hidden_dim or budget"):
+        model_config("commnet", "clustering", 2)
+    with pytest.raises(ContractError, match="unknown task"):
+        model_config("commnet", "coloring", 2, hidden_dim=8)
+    with pytest.raises(BudgetError):
+        model_config("glstm", "clustering", 6, budget=10)
+    # malformed fields are contract errors even where the budget cannot fit
+    for bad in (dict(arch="resnet"), dict(n_layers=0), dict(inner_steps=0),
+                dict(budget=-5)):
+        kw = {"arch": "glstm", "task": "clustering", "n_layers": 6, "budget": 10, **bad}
+        with pytest.raises(ContractError):
+            model_config(**kw)
+    with pytest.raises(ContractError):
+        model_config("commnet", "clustering", 2, hidden_dim=0)
 
 
 def test_train_smoke_every_architecture():
