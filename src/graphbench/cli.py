@@ -103,6 +103,8 @@ def _add_gradcheck(sub):
 
 
 def cmd_gen(args):
+    if args.count < 1:
+        raise ContractError("--count must be >= 1")
     # draw every instance first, so a refused run writes nothing
     instance_fn = make_instance_fn(args.task, args.q, args.seed)
     instances = [instance_fn(derive_seed(args.seed, "gen", k)) for k in range(args.count)]

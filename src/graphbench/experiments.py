@@ -34,17 +34,16 @@ from .errors import BudgetError, ContractError, SolverError, TrainingDivergedErr
 from .generators import make_clustering_instance
 from .models import GraphModel
 from .seeding import derive_seed
-from .tensor import Tape, backward
 from .training import (
     TrainSettings,
     accuracy,
+    backprop,
     check_run_counts,
     make_instance_fn,
     model_config,
     record_key,
     stored_json,
     train,
-    weighted_loss,
     write_json,
     write_text,
 )
@@ -175,7 +174,7 @@ def run_single_cell(spec, arch, value, trial):
 
 
 def batch_timer(config, task, q_noise, seed, n_graphs=100):
-    """A function that times one forward+backward pass over a fixed batch.
+    """A function that times ``training.backprop`` over a fixed batch.
 
     Instances are generated up front and passed through the model once
     untimed, which builds each graph's cached sparse operators; each call
@@ -189,11 +188,7 @@ def batch_timer(config, task, q_noise, seed, n_graphs=100):
     def run():
         t0 = time.perf_counter()
         for inst in instances:
-            with Tape() as tape:
-                logits = model.forward(inst.node_features(), inst.graph.adjacency)
-                loss = weighted_loss(logits, inst.targets, inst.n_classes)
-            model.zero_grads()
-            backward(loss)
+            backprop(model, inst)
         return (time.perf_counter() - t0) * 1000.0
 
     run()

@@ -67,10 +67,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.arch not in ARCHITECTURES:
             raise ContractError(f"unknown architecture {self.arch!r}")
-        if self.n_layers < 1 or self.hidden_dim < 1:
-            raise ContractError("n_layers and hidden_dim must be >= 1")
-        if self.inner_steps < 1:
-            raise ContractError("inner_steps must be >= 1")
+        for name in ("n_layers", "hidden_dim", "inner_steps"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ContractError(f"{name} must be >= 1 and an int, got {value!r}")
 
     def to_json(self):
         return json.dumps(asdict(self), sort_keys=True)

@@ -87,10 +87,6 @@ class Tensor:
         self._tape = None
         self._key = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def item(self):
         return float(self.data)
 
@@ -392,7 +388,9 @@ def gated_aggregate(center, neighbor, values, adj):
         # g[dst] is gathered once for both gradients
         g_dst = np.take(g, adj.dst, axis=0)
         gv = kernels.scatter_rows(gates * g_dst, adj, "src")
-        gx = np.take(vd, src, axis=0) * g_dst
+        gx = np.take(vd, src, axis=0)
+        gx *= g_dst
+        del g_dst  # one E x H array fewer while the gate factors run
         gx *= gates
         gx *= 1.0 - gates
         return gv, gx, kernels.scatter_rows(gx, adj, "src")

@@ -1,11 +1,12 @@
 """Single-run training loop and its reporting.
 
 One fresh task instance is generated per iteration (batch size is one
-graph), the weighted cross-entropy is backpropagated, and the optimizer
-steps. Learning-rate decay is plateau-based: mean loss over consecutive
-non-overlapping 100-iteration blocks must keep strictly decreasing,
-otherwise the rate is divided by 1.25 (with a 200-iteration cooldown after
-each decay and a floor of 1e-6).
+graph), ``backprop`` takes the one training step on it (the weighted
+cross-entropy, backpropagated), and the optimizer steps. Learning-rate
+decay is plateau-based: mean loss over consecutive non-overlapping
+100-iteration blocks must keep strictly decreasing, otherwise the rate is
+divided by 1.25 (with a 200-iteration cooldown after each decay and a
+floor of 1e-6).
 
 Wall-clock numbers are measured once and carried inside the TrainReport;
 everything written to disk is rendered from the report, so a report
@@ -186,6 +187,17 @@ def weighted_loss(logits, targets, n_classes):
     return softmax_cross_entropy(logits, targets, weights)
 
 
+def backprop(model, inst):
+    """The taped step on one instance: forward, weighted loss, zeroed grads,
+    backward. Returns the loss; the tape is released on return."""
+    with Tape() as tape:  # bound, so backward finds the tape alive
+        logits = model.forward(inst.node_features(), inst.graph.adjacency)
+        loss = weighted_loss(logits, inst.targets, inst.n_classes)
+    model.zero_grads()
+    backward(loss)
+    return loss.item()
+
+
 def accuracy(logits_or_pred, targets):
     """Mean per-class recall over the classes present in ``targets``."""
     arr = np.asarray(logits_or_pred)
@@ -290,10 +302,7 @@ class TrainReport:
         return float(np.median(self.block_time_ms))
 
     def to_state(self):
-        d = asdict(self)
-        d["config"] = asdict(self.config)
-        d["settings"] = asdict(self.settings)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_state(cls, d):
@@ -342,18 +351,11 @@ def train(config: ModelConfig, settings: TrainSettings):
 
     for it in range(1, settings.n_iters + 1):
         t0 = time.perf_counter()
-        inst = instance_fn(derive_seed(run_seed, "train", it))
-        # rebinding tape each iteration releases the previous graph
-        with Tape() as tape:
-            logits = model.forward(inst.node_features(), inst.graph.adjacency)
-            loss = weighted_loss(logits, inst.targets, n_classes)
-        loss_val = loss.item()
+        loss_val = backprop(model, instance_fn(derive_seed(run_seed, "train", it)))
         if not np.isfinite(loss_val):
             raise TrainingDivergedError(
                 f"non-finite loss at iteration {it}",
                 iteration=it, learning_rate=opt.lr)
-        model.zero_grads()
-        backward(loss)
         opt.step(params)
         train_clock += time.perf_counter() - t0
 

@@ -138,7 +138,8 @@ def test_dirichlet_cli(tmp_path, capsys):
     ["dirichlet", "--count", "0"],
     ["train", "--arch", "commnet", "--task", "matching", "--hidden", "4",
      "--iters", "1", "--eval-instances", "0"],
-], ids=["dirichlet-no-instances", "train-no-eval-instances"])
+    ["gen", "--task", "matching", "--count", "0"],
+], ids=["dirichlet-no-instances", "train-no-eval-instances", "gen-no-instances"])
 def test_counts_below_one_exit_2(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2

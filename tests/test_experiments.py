@@ -127,9 +127,14 @@ def test_spec_rejects_counts_below_one(counts):
     # every cell's budget is too small, which alone stays a per-cell error
     dict(sweep="budget", values=(10,), hidden_dim=None, q_noise=1.5),
     dict(sweep="budget", values=(10,), hidden_dim=None, inner_steps=0),
+    # a spec file gives ints; code can pass floats, which must not train
+    dict(sweep="noise", values=(0.1,), n_layers=1.5),
+    dict(hidden_dim=8.5),
+    dict(inner_steps=2.5),
 ], ids=["zero-hidden", "zero-inner-steps", "zero-layers", "negative-budget",
         "negative-budget-value", "q-above-one", "unknown-optimizer", "negative-lr",
-        "q-in-unfit-budget-cell", "inner-steps-in-unfit-budget-cell"])
+        "q-in-unfit-budget-cell", "inner-steps-in-unfit-budget-cell",
+        "fractional-layers", "fractional-hidden", "fractional-inner-steps"])
 def test_spec_rejects_malformed_cells(bad):
     # each fails before spec.json is written, not at the first cell
     with pytest.raises(ContractError):

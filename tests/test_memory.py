@@ -1,5 +1,7 @@
 """The training step reuses its memory and keeps little of it alive.
 
+Both tests measure ``training.backprop``, the step ``training.train`` takes.
+
 The page-fault test runs in a fresh interpreter so that no earlier test's
 allocations shape the heap being measured. With glibc tuned, a step faults
 only where the heap grows, and the heap grows only when fragmentation
@@ -24,8 +26,7 @@ import graphbench
 from graphbench import acceptance, tensor
 from graphbench.models import GraphModel
 from graphbench.seeding import derive_seed
-from graphbench.tensor import Tape, backward
-from graphbench.training import make_instance_fn, weighted_loss
+from graphbench.training import backprop, make_instance_fn
 
 MAX_FAULTS_PER_ITER = 200
 # peak bytes allocated during one taped step, in units of one E x H float64
@@ -33,9 +34,11 @@ MAX_FAULTS_PER_ITER = 200
 # step after the first in glstm), so a regression that tapes more edge
 # arrays shows here. The tape keeps only what backward reads: no op
 # output, and each rule only the arrays it uses, which measured 9.6 and
-# 22.2. A tape whose entries hold their op outputs measured 18.3 and 40.9
-# (bounded at 22 and 48 then), and also keeping every intermediate
-# gradient until backward returns measured 24.8 and 54.7; both fail
+# 22.2 (10.6 and 23.1 while gated_aggregate's backward kept g[dst] alive
+# past its last use). A tape whose entries hold their op outputs measured
+# 18.3 and 40.9 (bounded at 22 and 48 then), and also keeping every
+# intermediate gradient until backward returns measured 24.8 and 54.7;
+# both fail
 MAX_PEAK_EDGE_ARRAYS = {"gated_gcn": 12, "glstm": 27}
 
 STEADY_STATE_FAULTS = """
@@ -43,8 +46,7 @@ import json, resource
 from graphbench import acceptance, tensor
 from graphbench.models import GraphModel
 from graphbench.seeding import derive_seed
-from graphbench.tensor import Tape, backward
-from graphbench.training import ADAM_DEFAULT_LR, Adam, make_instance_fn, weighted_loss
+from graphbench.training import ADAM_DEFAULT_LR, Adam, backprop, make_instance_fn
 
 config = acceptance.timing_configs()["gated_gcn"]
 model = GraphModel(config, seed=1)
@@ -55,11 +57,7 @@ insts = [instance_fn(derive_seed(1, "train", it)) for it in range(30)]
 
 
 def step(inst):
-    with Tape() as tape:
-        logits = model.forward(inst.node_features(), inst.graph.adjacency)
-        loss = weighted_loss(logits, inst.targets, config.n_classes)
-    model.zero_grads()
-    backward(loss)
+    backprop(model, inst)
     opt.step(params)
 
 
@@ -97,22 +95,12 @@ def test_taped_step_peak_memory_in_edge_arrays(arch):
     config = acceptance.timing_configs()[arch]
     model = GraphModel(config, seed=1)
     inst = make_instance_fn("clustering", 0.1, 1)(derive_seed(1, "train", 0))
-    features = inst.node_features()
-    adj = inst.graph.adjacency
-
-    def step():
-        with Tape() as tape:
-            logits = model.forward(features, adj)
-            loss = weighted_loss(logits, inst.targets, config.n_classes)
-        model.zero_grads()
-        backward(loss)
-
-    step()
+    backprop(model, inst)
     tracemalloc.start()
     try:
-        step()
+        backprop(model, inst)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    edge_arrays = peak / (adj.n_edges * config.hidden_dim * 8)
+    edge_arrays = peak / (inst.graph.adjacency.n_edges * config.hidden_dim * 8)
     assert edge_arrays <= MAX_PEAK_EDGE_ARRAYS[arch], edge_arrays

@@ -54,6 +54,9 @@ def test_config_validation():
         config_for("ggnn", inner_steps=0)
     with pytest.raises(ContractError):
         config_for("ggnn", n_layers=0)
+    for name in ("n_layers", "hidden_dim", "inner_steps"):
+        with pytest.raises(ContractError, match=f"{name} must be >= 1 and an int"):
+            config_for("ggnn", **{name: 2.0})
 
 
 def test_count_params_matches_constructed_model():
