@@ -15,7 +15,6 @@ from .errors import (
     BudgetError,
     ContractError,
     DegenerateBatchError,
-    EmptyLossError,
     GraphbenchError,
     GraphStructureError,
     InsufficientSamplesError,
@@ -25,7 +24,6 @@ from .errors import (
 )
 from .experiments import (
     ExperimentSpec,
-    measure_batch_time,
     parse_experiment_file,
     parse_experiment_text,
     resolve_cell,
@@ -40,8 +38,6 @@ from .generators import (
     graph_to_text,
     instance_from_text,
     instance_to_text,
-    load_graph,
-    load_instance,
     make_clustering_instance,
     make_matching_instance,
     make_pattern,

@@ -12,9 +12,14 @@ is missing and touches nothing that is already done:
 
 import os
 
-import numpy as np
-
-from .experiments import ExperimentSpec, batch_timer, run_dirichlet_baseline, run_experiment
+from .experiments import (
+    TIMING_GRAPHS,
+    ExperimentSpec,
+    batch_timer,
+    run_dirichlet_baseline,
+    run_experiment,
+    time_batches,
+)
 from .seeding import derive_seed
 from .training import model_config, stored_json
 
@@ -72,20 +77,12 @@ def timing_configs():
 def measure_timing():
     """Median of three interleaved batch timings of each timing contender."""
     configs = timing_configs()
-    timers = {arch: batch_timer(config, "clustering", 0.1,
-                                seed=derive_seed(MASTER_SEED, "timing", arch))
-              for arch, config in configs.items()}
-    repeat_ms = {arch: [] for arch in timers}
-    # one repeat of each contender in turn, so a swing in host speed lands
-    # on both sides of the ratio criterion 8 reads
-    for _ in range(3):
-        for arch, run in timers.items():
-            repeat_ms[arch].append(run())
-    record = {"schema": "graphbench-acceptance-timing v1", "n_graphs": 100}
+    timings = time_batches({arch: batch_timer(config, "clustering", 0.1,
+                                              seed=derive_seed(MASTER_SEED, "timing", arch))
+                            for arch, config in configs.items()})
+    record = {"schema": "graphbench-acceptance-timing v1", "n_graphs": TIMING_GRAPHS}
     for arch, config in configs.items():
-        record[arch] = {"batch_time_ms": float(np.median(repeat_ms[arch])),
-                        "repeat_ms": repeat_ms[arch],
-                        "hidden_dim": config.hidden_dim}
+        record[arch] = {**timings[arch], "hidden_dim": config.hidden_dim}
     return record
 
 

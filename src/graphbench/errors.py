@@ -21,10 +21,6 @@ class DegenerateBatchError(GraphbenchError):
     """Batch statistics requested on fewer than two nodes."""
 
 
-class EmptyLossError(GraphbenchError):
-    """Loss requested with every node masked out."""
-
-
 class InsufficientSamplesError(GraphbenchError):
     """Statistical validation needs more samples than were provided."""
 

@@ -49,6 +49,8 @@ from .training import (
 )
 
 SWEEP_KINDS = ("noise", "layers", "budget", "inner_steps", "learning_speed")
+TIMING_GRAPHS = 100
+TIMING_REPEATS = 3
 
 
 @dataclass
@@ -97,8 +99,8 @@ def validate_spec(spec):
         raise ContractError("at least one architecture is required")
     if not spec.values:
         raise ContractError("at least one sweep value is required")
-    if spec.trials < 1:
-        raise ContractError("trials must be >= 1")
+    if not isinstance(spec.trials, int) or spec.trials < 1:
+        raise ContractError(f"trials must be >= 1 and an int, got {spec.trials!r}")
     if spec.sweep == "budget" and spec.hidden_dim is not None:
         raise ContractError("budget sweeps solve the width; drop hidden_dim")
     # only learning_speed cells pass the curve fields on to TrainSettings
@@ -173,16 +175,16 @@ def run_single_cell(spec, arch, value, trial):
     return base
 
 
-def batch_timer(config, task, q_noise, seed, n_graphs=100):
+def batch_timer(config, task, q_noise, seed):
     """A function that times ``training.backprop`` over a fixed batch.
 
-    Instances are generated up front and passed through the model once
-    untimed, which builds each graph's cached sparse operators; each call
-    then returns the wall time (ms) of model compute alone, which is what
-    distinguishes the architectures.
+    TIMING_GRAPHS instances are generated up front and passed through the
+    model once untimed, which builds each graph's cached sparse operators;
+    each call then returns the wall time (ms) of model compute alone, which
+    is what distinguishes the architectures.
     """
     instance_fn = make_instance_fn(task, q_noise, derive_seed(seed, "timing-data"))
-    instances = [instance_fn(derive_seed(seed, "timing", k)) for k in range(n_graphs)]
+    instances = [instance_fn(derive_seed(seed, "timing", k)) for k in range(TIMING_GRAPHS)]
     model = GraphModel(config, seed=derive_seed(seed, "timing-init"))
 
     def run():
@@ -195,12 +197,19 @@ def batch_timer(config, task, q_noise, seed, n_graphs=100):
     return run
 
 
-def measure_batch_time(config, task, q_noise, seed, n_graphs=100, repeats=3):
-    """Median wall time (ms) for forward+backward over a batch of graphs."""
-    run = batch_timer(config, task, q_noise, seed, n_graphs)
-    repeat_ms = [run() for _ in range(repeats)]
-    return {"batch_time_ms": float(np.median(repeat_ms)),
-            "repeat_ms": repeat_ms, "n_graphs": n_graphs}
+def time_batches(timers):
+    """Median and repeats (ms) of each of ``timers``, ``{name: run}`` as
+    ``batch_timer`` returns them.
+
+    Each of TIMING_REPEATS rounds calls every timer once, in the given
+    order, so a swing in host speed lands on every contender alike.
+    """
+    repeat_ms = {name: [] for name in timers}
+    for _ in range(TIMING_REPEATS):
+        for name, run in timers.items():
+            repeat_ms[name].append(run())
+    return {name: {"batch_time_ms": float(np.median(ms)), "repeat_ms": ms}
+            for name, ms in repeat_ms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +240,9 @@ def _timing_record(spec, arch, value):
     except BudgetError as exc:
         rec["error"] = f"BudgetError: {exc}"
         return rec
-    rec.update(measure_batch_time(
-        config, spec.task, settings.q_noise,
-        seed=derive_seed(spec.seed, spec.name, "timing", arch, value)))
-    rec["error"] = None
+    run = batch_timer(config, spec.task, settings.q_noise,
+                      seed=derive_seed(spec.seed, spec.name, "timing", arch, value))
+    rec.update(time_batches({arch: run})[arch], n_graphs=TIMING_GRAPHS, error=None)
     return rec
 
 

@@ -329,16 +329,6 @@ def instance_from_text(text):
                         seed_mask=seed_mask)
 
 
-def load_instance(path):
-    with open(path, encoding="utf-8") as fh:
-        return instance_from_text(fh.read())
-
-
-def load_graph(path):
-    with open(path, encoding="utf-8") as fh:
-        return graph_from_text(fh.read())
-
-
 # ---------------------------------------------------------------------------
 # distribution sanity check
 

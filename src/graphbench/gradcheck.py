@@ -40,6 +40,9 @@ from .training import weighted_loss
 
 DEFAULT_EPS = 1e-5
 DEFAULT_TOL = 1e-4
+# width and recurrent steps of each layer check
+LAYER_HIDDEN = 4
+LAYER_INNER_STEPS = 2
 
 
 @dataclass
@@ -179,27 +182,22 @@ def op_checks(seed=0):
     logits = _param(rng, 8, 3)
     targets = rng.integers(0, 3, size=8)
     weights = rng.uniform(0.5, 2.0, size=3)
-    mask = np.ones(8, dtype=bool)
-    mask[rng.integers(0, 8, size=2)] = False
     checks.append(("softmax_cross_entropy",
                    lambda: softmax_cross_entropy(logits, targets, weights),
-                   [("logits", logits)]))
-    checks.append(("softmax_cross_entropy_masked",
-                   lambda: softmax_cross_entropy(logits, targets, weights, mask=mask),
                    [("logits", logits)]))
     return checks
 
 
-def layer_checks(seed=0, hidden=4, inner_steps=2):
+def layer_checks(seed=0):
     """One full layer of every architecture, norm on, params and input."""
     checks = []
     graph = _test_graph(seed + 2)
     adj = graph.adjacency
     for i, arch in enumerate(sorted(ARCHITECTURES)):
         rng = np.random.default_rng(seed + 10 + i)
-        layer = make_layer(arch, rng, hidden, inner_steps, use_norm=True)
-        x = _param(rng, graph.n_nodes, hidden)
-        proj = Tensor(rng.normal(size=(graph.n_nodes, hidden)))
+        layer = make_layer(arch, rng, LAYER_HIDDEN, LAYER_INNER_STEPS, use_norm=True)
+        x = _param(rng, graph.n_nodes, LAYER_HIDDEN)
+        proj = Tensor(rng.normal(size=(graph.n_nodes, LAYER_HIDDEN)))
         wrt = [("x", x)] + layer.named_tensors()
 
         def forward(layer=layer, x=x, proj=proj):

@@ -325,9 +325,6 @@ class GraphModel(Module):
     def parameters(self):
         return dict(self.named_tensors())
 
-    def num_params(self):
-        return sum(t.data.size for _, t in self.named_tensors())
-
     def zero_grads(self):
         for _, t in self.named_tensors():
             t.grad = None

@@ -41,7 +41,6 @@ from . import kernels
 from .errors import (
     ContractError,
     DegenerateBatchError,
-    EmptyLossError,
     GraphStructureError,
     ShapeError,
 )
@@ -440,12 +439,12 @@ def batch_norm(x, gamma, beta):
 # ---------------------------------------------------------------------------
 
 
-def softmax_cross_entropy(logits, targets, class_weights, mask=None):
+def softmax_cross_entropy(logits, targets, class_weights):
     """Weighted mean of per-node cross-entropy, numerically stabilized.
 
     targets: int class index per node.
-    class_weights: one non-negative weight per class.
-    mask: optional boolean per node; False rows are excluded from the mean.
+    class_weights: one non-negative weight per class; the weights of the
+    targets present must sum above zero, or the mean would be 0/0.
     """
     targets = np.asarray(targets, dtype=np.int64)
     class_weights = np.asarray(class_weights, dtype=np.float64)
@@ -454,20 +453,17 @@ def softmax_cross_entropy(logits, targets, class_weights, mask=None):
         raise ShapeError("one target per logit row required")
     if targets.size and (targets.min() < 0 or targets.max() >= n_classes):
         raise ContractError("target class out of range")
-    if (class_weights < 0).any() or not (class_weights > 0).any():
-        raise ContractError("class weights must be non-negative and not all zero")
-    if mask is None:
-        mask = np.ones(n, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise EmptyLossError("all nodes masked out of the loss")
+    if (class_weights < 0).any():
+        raise ContractError("class weights must be non-negative")
+    w = class_weights[targets]
+    w_total = w.sum()
+    if not w_total > 0:
+        raise ContractError(
+            f"the targets' class weights sum to {w_total}, so the loss has no weighted mean")
 
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
     log_p = shifted - log_z[:, None]
-    w = class_weights[targets] * mask
-    w_total = w.sum()
     per_node = -log_p[np.arange(n), targets]
     data = np.asarray((w * per_node).sum() / w_total)
 

@@ -233,8 +233,13 @@ def check_run_counts(n_iters, eval_instances, curve_every, curve_instances):
     """Reject counts that would leave a run nothing to train on or average.
 
     ``curve_every`` is 0 for no curve; ``curve_instances`` matters only
-    when there is one.
+    when there is one. Each count must be an int: a float would pass here
+    and fail as a bare TypeError inside the run.
     """
+    for name, value in (("n_iters", n_iters), ("eval_instances", eval_instances),
+                        ("curve_every", curve_every), ("curve_instances", curve_instances)):
+        if not isinstance(value, int):
+            raise ContractError(f"{name} must be an int, got {value!r}")
     if n_iters < 1:
         raise ContractError("n_iters must be >= 1")
     if eval_instances < 1:

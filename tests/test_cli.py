@@ -8,7 +8,7 @@ import pytest
 
 import graphbench
 from graphbench.cli import main
-from graphbench.generators import load_graph, load_instance
+from graphbench.generators import graph_from_text, instance_from_text
 from graphbench.models import ModelConfig, count_params
 
 TRAIN_ARGS = ["train", "--arch", "commnet", "--task", "matching",
@@ -21,11 +21,11 @@ def test_gen_matching_files_parse(tmp_path, capsys):
     rc = main(["gen", "--task", "matching", "--count", "2",
                "--seed", "7", "--out", str(out)])
     assert rc == 0
-    pattern = load_graph(out / "pattern.txt")
+    pattern = graph_from_text((out / "pattern.txt").read_text())
     assert pattern.n_nodes == 20
     pattern_pairs = pattern.adjacency.undirected_pairs()
     for k in range(2):
-        inst = load_instance(out / f"instance-{k:04d}.txt")
+        inst = instance_from_text((out / f"instance-{k:04d}.txt").read_text())
         assert inst.task == "matching"
         assert int(np.sum(inst.targets)) == 20
         # pattern.txt is the pattern embedded in the last 20 nodes of each instance
@@ -40,7 +40,7 @@ def test_gen_clustering_files_parse(tmp_path):
     out = tmp_path / "inst"
     assert main(["gen", "--task", "clustering", "--count", "1",
                  "--out", str(out)]) == 0
-    inst = load_instance(out / "instance-0000.txt")
+    inst = instance_from_text((out / "instance-0000.txt").read_text())
     assert inst.task == "clustering"
     assert inst.seed_mask.sum() == 10
 

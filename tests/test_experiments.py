@@ -5,15 +5,16 @@ import shutil
 import numpy as np
 import pytest
 
+from graphbench import acceptance, experiments
 from graphbench.errors import ContractError
 from graphbench.experiments import (
     ExperimentSpec,
-    measure_batch_time,
     parse_experiment_text,
     resolve_cell,
     run_dirichlet_baseline,
     run_experiment,
     run_single_cell,
+    time_batches,
 )
 from graphbench.models import ModelConfig, count_params
 
@@ -131,10 +132,16 @@ def test_spec_rejects_counts_below_one(counts):
     dict(sweep="noise", values=(0.1,), n_layers=1.5),
     dict(hidden_dim=8.5),
     dict(inner_steps=2.5),
+    dict(trials=1.5),
+    dict(n_iters=3.5),
+    dict(eval_instances=1.5),
+    dict(sweep="learning_speed", values=(0,), curve_every=2.5),
 ], ids=["zero-hidden", "zero-inner-steps", "zero-layers", "negative-budget",
         "negative-budget-value", "q-above-one", "unknown-optimizer", "negative-lr",
         "q-in-unfit-budget-cell", "inner-steps-in-unfit-budget-cell",
-        "fractional-layers", "fractional-hidden", "fractional-inner-steps"])
+        "fractional-layers", "fractional-hidden", "fractional-inner-steps",
+        "fractional-trials", "fractional-iters", "fractional-eval-instances",
+        "fractional-curve-every"])
 def test_spec_rejects_malformed_cells(bad):
     # each fails before spec.json is written, not at the first cell
     with pytest.raises(ContractError):
@@ -272,14 +279,59 @@ def test_learning_speed_writes_curves(tmp_path):
         assert 0.0 <= float(acc) <= 1.0
 
 
-def test_measure_batch_time_reports_median():
-    cfg = ModelConfig(arch="commnet", n_layers=1, hidden_dim=8,
-                      input_dim=3, n_classes=2, inner_steps=1)
-    rec = measure_batch_time(cfg, "matching", 0.1, seed=0, n_graphs=2, repeats=3)
-    assert rec["n_graphs"] == 2
+def _fake_timer(name, times, calls):
+    times = iter(times)
+
+    def run():
+        calls.append(name)
+        return next(times)
+
+    return run
+
+
+def test_time_batches_alternates_timers_and_takes_medians():
+    calls = []
+    got = time_batches({"a": _fake_timer("a", [3.0, 1.0, 2.0], calls),
+                        "b": _fake_timer("b", [10.0, 30.0, 25.0], calls)})
+    assert calls == ["a", "b", "a", "b", "a", "b"]
+    assert got == {"a": {"batch_time_ms": 2.0, "repeat_ms": [3.0, 1.0, 2.0]},
+                   "b": {"batch_time_ms": 25.0, "repeat_ms": [10.0, 30.0, 25.0]}}
+    calls.clear()
+    assert time_batches({"a": _fake_timer("a", [4.0, 5.0, 6.0], calls)})["a"] == \
+        {"batch_time_ms": 5.0, "repeat_ms": [4.0, 5.0, 6.0]}
+    assert calls == ["a"] * 3
+
+
+@pytest.fixture
+def counted_backprop(monkeypatch):
+    """Replace the timers' training step with a call counter."""
+    calls = []
+    monkeypatch.setattr(experiments, "backprop", lambda model, inst: calls.append(model))
+    return calls
+
+
+def test_sweep_timing_record_keys_and_runs(tmp_path, counted_backprop):
+    run_experiment(tiny_spec(time_batches=True), tmp_path)
+    rec = json.loads((tmp_path / "cells" / "time-commnet-v1.json").read_text())
+    assert set(rec) == {"schema", "spec_hash", "arch", "sweep_value", "batch_time_ms",
+                        "repeat_ms", "n_graphs", "error"}
+    assert rec["n_graphs"] == experiments.TIMING_GRAPHS and rec["error"] is None
     assert len(rec["repeat_ms"]) == 3
     assert rec["batch_time_ms"] == float(np.median(rec["repeat_ms"]))
-    assert rec["batch_time_ms"] > 0.0
+    # one untimed pass over the batch, then three timed ones
+    assert len(counted_backprop) == 4 * experiments.TIMING_GRAPHS
+
+
+def test_acceptance_timing_keeps_the_committed_keys(counted_backprop):
+    committed = json.loads(
+        (pathlib.Path(__file__).resolve().parents[1]
+         / "results" / "acceptance" / "timing.json").read_text())
+    record = acceptance.measure_timing()
+    assert set(record) == set(committed)
+    for arch in ("gated_gcn", "glstm"):
+        assert set(record[arch]) == set(committed[arch])
+        assert record[arch]["hidden_dim"] == committed[arch]["hidden_dim"]
+    assert len(counted_backprop) == 2 * 4 * experiments.TIMING_GRAPHS
 
 
 def test_dirichlet_baseline_rejects_no_instances():

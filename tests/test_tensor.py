@@ -9,7 +9,6 @@ from graphbench.adjacency import SparseAdjacency
 from graphbench.errors import (
     ContractError,
     DegenerateBatchError,
-    EmptyLossError,
     GraphStructureError,
     ShapeError,
 )
@@ -484,15 +483,15 @@ def test_softmax_cross_entropy_weights_reweight_mean():
     assert abs(loss2.item() - (3 * l0 + l1) / 4) < 1e-12
 
 
-def test_softmax_cross_entropy_mask_excludes_rows():
-    logits = Tensor(np.array([[0.0, 0.0], [100.0, 0.0]]))
-    targets = np.array([0, 1])  # second row is badly wrong
-    mask = np.array([True, False])
-    loss = softmax_cross_entropy(logits, targets, np.ones(2), mask=mask)
-    assert abs(loss.item() - np.log(2.0)) < 1e-12
-    with pytest.raises(EmptyLossError):
-        softmax_cross_entropy(logits, targets, np.ones(2),
-                              mask=np.zeros(2, dtype=bool))
+@pytest.mark.parametrize("n_rows, targets, weights", [
+    (2, [0, 0], [0.0, 1.0]),
+    (2, [0, 1], [0.0, 0.0]),
+    (0, [], [1.0, 1.0]),
+], ids=["weight-only-on-absent-class", "all-weights-zero", "no-rows"])
+def test_softmax_cross_entropy_needs_positive_target_weight(n_rows, targets, weights):
+    # each would divide zero by zero into a NaN loss
+    with pytest.raises(ContractError, match="sum to 0"):
+        softmax_cross_entropy(Tensor(np.zeros((n_rows, 2))), targets, weights)
 
 
 def test_softmax_cross_entropy_grad_is_probability_gap():

@@ -139,12 +139,19 @@ def test_train_rejects_wrong_dims():
     dict(eval_instances=0),
     dict(curve_every=1, curve_instances=0),
     dict(curve_every=-1),
-], ids=["no-eval-instances", "no-curve-instances", "negative-curve-every"])
+    dict(n_iters=3.5),
+    dict(eval_instances=2.5),
+    dict(curve_every=1.5),
+    dict(curve_every=1, curve_instances=2.5),
+], ids=["no-eval-instances", "no-curve-instances", "negative-curve-every",
+        "fractional-iters", "fractional-eval-instances", "fractional-curve-every",
+        "fractional-curve-instances"])
 def test_settings_reject_counts_below_one(counts):
-    # each would average an empty list into a NaN accuracy, or (a negative
-    # curve_every) evaluate the curve every iteration
+    # each would average an empty list into a NaN accuracy, (a negative
+    # curve_every) evaluate the curve every iteration, or (a fraction) fail
+    # inside the run as a bare TypeError
     with pytest.raises(ContractError):
-        TrainSettings(task="matching", n_iters=1, **counts)
+        TrainSettings(**{"task": "matching", "n_iters": 1, **counts})
 
 
 @pytest.mark.parametrize("bad", [
