@@ -14,11 +14,7 @@ from .dirichlet import DirichletResult, build_laplacian, dirichlet_assign, jacob
 from .errors import (
     BudgetError,
     ContractError,
-    DegenerateBatchError,
     GraphbenchError,
-    GraphStructureError,
-    InsufficientSamplesError,
-    ShapeError,
     SolverError,
     TrainingDivergedError,
 )

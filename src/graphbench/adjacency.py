@@ -16,7 +16,7 @@ order a scatter-add over the stored edges would reach them.
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError, GraphStructureError
+from .errors import ContractError
 
 
 class SparseAdjacency:
@@ -35,7 +35,7 @@ class SparseAdjacency:
     def __init__(self, n_nodes, src, dst):
         """Sort the edges by the key dst * n_nodes + src.
 
-        Raises GraphStructureError for an index outside [0, n_nodes) and for
+        Raises ContractError for an index outside [0, n_nodes) and for
         a repeated edge. The key is unique per edge once both checks pass,
         so the stable argsort yields exactly the (dst, src) lexicographic
         order; n_nodes**2 must stay below 2**63.
@@ -43,12 +43,12 @@ class SparseAdjacency:
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape or src.ndim != 1:
-            raise GraphStructureError("src/dst must be 1-d arrays of equal length")
+            raise ContractError("src/dst must be 1-d arrays of equal length")
         _check_node_range(n_nodes, src, dst)
         keys = dst * n_nodes + src
         order = np.argsort(keys, kind="stable")
         if _has_repeat(keys[order]):
-            raise GraphStructureError("duplicate directed edge")
+            raise ContractError("duplicate directed edge")
         self.n_nodes = int(n_nodes)
         self.src = src[order]
         self.dst = dst[order]
@@ -68,12 +68,12 @@ class SparseAdjacency:
         """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if (pairs[:, 0] == pairs[:, 1]).any():
-            raise GraphStructureError("self-loop in undirected edge list")
+            raise ContractError("self-loop in undirected edge list")
         _check_node_range(n_nodes, pairs)
         lo = np.minimum(pairs[:, 0], pairs[:, 1])
         hi = np.maximum(pairs[:, 0], pairs[:, 1])
         if _has_repeat(np.sort(lo * n_nodes + hi)):
-            raise GraphStructureError("duplicate undirected edge")
+            raise ContractError("duplicate undirected edge")
         src = np.concatenate([lo, hi])
         dst = np.concatenate([hi, lo])
         return cls(n_nodes, src, dst)
@@ -151,9 +151,9 @@ def _check_node_range(n_nodes, *indices):
     """Raise unless every index lies in [0, n_nodes)."""
     if indices[0].size:
         if min(a.min() for a in indices) < 0:
-            raise GraphStructureError("negative node index")
+            raise ContractError("negative node index")
         if max(a.max() for a in indices) >= n_nodes:
-            raise GraphStructureError("node index out of range")
+            raise ContractError("node index out of range")
 
 
 def _has_repeat(sorted_keys):

@@ -1,28 +1,23 @@
-"""Exception types raised by graphbench modules."""
+"""Exception types raised by graphbench modules.
+
+A violated precondition (a malformed input, argument, shape, edge list,
+spec or file) raises ``ContractError``, whatever module it is in. A class
+gets its own name here only when some caller catches it by that name:
+
+- ``GraphbenchError``: the base; the CLI and the benchmark runner catch it.
+- ``ContractError``: caught only through ``GraphbenchError``.
+- ``BudgetError``: ``experiments`` turns it into a cell's error record.
+- ``SolverError``: ``experiments`` turns it into a cell's error record.
+- ``TrainingDivergedError``: ``experiments`` turns it into a cell's error record.
+"""
 
 
 class GraphbenchError(Exception):
     """Base class for all graphbench errors."""
 
 
-class ShapeError(GraphbenchError):
-    """Tensor dimensions do not satisfy an operation's contract."""
-
-
-class GraphStructureError(GraphbenchError):
-    """Edge list or index set violates a graph structure invariant."""
-
-
 class ContractError(GraphbenchError):
     """An API precondition was violated (e.g. backward on a non-scalar)."""
-
-
-class DegenerateBatchError(GraphbenchError):
-    """Batch statistics requested on fewer than two nodes."""
-
-
-class InsufficientSamplesError(GraphbenchError):
-    """Statistical validation needs more samples than were provided."""
 
 
 class SolverError(GraphbenchError):

@@ -99,6 +99,9 @@ def validate_spec(spec):
         raise ContractError("at least one architecture is required")
     if not spec.values:
         raise ContractError("at least one sweep value is required")
+    for what, items in (("architecture", spec.archs), ("sweep value", spec.values)):
+        if len(set(items)) < len(items):
+            raise ContractError(f"repeated {what} in {items!r}: each cell needs its own file")
     if not isinstance(spec.trials, int) or spec.trials < 1:
         raise ContractError(f"trials must be >= 1 and an int, got {spec.trials!r}")
     if spec.sweep == "budget" and spec.hidden_dim is not None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjacency import SparseAdjacency
-from .errors import ContractError, InsufficientSamplesError
+from .errors import ContractError
 from .seeding import derive_seed
 
 TASK_MATCHING = "matching"
@@ -81,10 +81,6 @@ class TaskInstance:
     @property
     def n_classes(self):
         return TASK_DIMS[self.task][1]
-
-    @property
-    def input_dim(self):
-        return TASK_DIMS[self.task][0]
 
     def node_features(self):
         """Input encoding: n x 3 signal one-hot (matching) or
@@ -357,23 +353,30 @@ def validate_sbm_stats(graphs, intra_p, inter_q):
 
     Densities are binomial proportions, so the pooled z-scores should stay
     small; |z| > 4 raises a flag rather than an exception because a single
-    extreme draw is legitimate.
+    extreme draw is legitimate. A graph with HOST_COMMUNITIES + 1
+    communities is read as a matching instance: the pairs inside its
+    pattern community (label HOST_COMMUNITIES) are one draw copied into
+    every instance, not fresh draws at ``intra_p``, so they are left out.
     """
     if len(graphs) < SBM_STATS_MIN_GRAPHS:
-        raise InsufficientSamplesError(
+        raise ContractError(
             f"need at least {SBM_STATS_MIN_GRAPHS} graphs, got {len(graphs)}")
     intra_edges = inter_edges = 0
     intra_possible = inter_possible = 0
     for g in graphs:
+        fresh = np.ones(g.n_communities, dtype=bool)
+        if g.n_communities == HOST_COMMUNITIES + 1:
+            fresh[HOST_COMMUNITIES] = False
         pairs = g.adjacency.undirected_pairs()
         if pairs.size:
-            same = g.community[pairs[:, 0]] == g.community[pairs[:, 1]]
-            intra_edges += int(same.sum())
+            comm = g.community[pairs[:, 0]]
+            same = comm == g.community[pairs[:, 1]]
+            intra_edges += int((same & fresh[comm]).sum())
             inter_edges += int((~same).sum())
         sizes = np.bincount(g.community, minlength=g.n_communities)
-        block_pairs = int((sizes * (sizes - 1) // 2).sum())
-        intra_possible += block_pairs
-        inter_possible += g.n_nodes * (g.n_nodes - 1) // 2 - block_pairs
+        block_pairs = sizes * (sizes - 1) // 2
+        intra_possible += int(block_pairs[fresh].sum())
+        inter_possible += g.n_nodes * (g.n_nodes - 1) // 2 - int(block_pairs.sum())
     intra_z = _z_score(intra_edges, intra_possible, intra_p)
     inter_z = _z_score(inter_edges, inter_possible, inter_q)
     flags = []

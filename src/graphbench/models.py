@@ -337,7 +337,12 @@ class GraphModel(Module):
     def load(cls, path):
         """Rebuild a saved model; every parameter must be present with its shape."""
         with np.load(path, allow_pickle=False) as blob:
-            config = ModelConfig.from_json(str(blob["__config__"]))
+            if "__config__" not in blob.files:
+                raise ContractError(f"{path}: checkpoint has no __config__ entry")
+            try:
+                config = ModelConfig.from_json(str(blob["__config__"]))
+            except (TypeError, ValueError) as exc:
+                raise ContractError(f"{path}: malformed __config__: {exc}") from None
             model = cls(config, seed=0)
             params = model.parameters()
             keys = set(blob.files) - {"__config__"}

@@ -38,12 +38,7 @@ import weakref
 import numpy as np
 
 from . import kernels
-from .errors import (
-    ContractError,
-    DegenerateBatchError,
-    GraphStructureError,
-    ShapeError,
-)
+from .errors import ContractError
 
 
 _M_TRIM_THRESHOLD = -1
@@ -199,12 +194,12 @@ def backward(loss):
 
 def _check_same_shape(a, b, op):
     if a.data.shape != b.data.shape:
-        raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
+        raise ContractError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
 
 
 def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
+        raise ContractError(f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
     ad, bd = a.data, b.data
     a_needs = a.requires_grad
 
@@ -247,7 +242,7 @@ def bias_add(x, b):
     The only broadcasting the library performs.
     """
     if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"bias_add: shapes {x.data.shape} and {b.data.shape}")
+        raise ContractError(f"bias_add: shapes {x.data.shape} and {b.data.shape}")
 
     def rule(g):
         return g, g.sum(axis=0)
@@ -310,9 +305,9 @@ def sum_all(x):
 
 def _check_node_rows(x, adj, op):
     if x.data.ndim != 2:
-        raise ShapeError(f"{op} expects a 2-d tensor")
+        raise ContractError(f"{op} expects a 2-d tensor")
     if x.data.shape[0] != adj.n_nodes:
-        raise GraphStructureError(
+        raise ContractError(
             f"{op}: adjacency has {adj.n_nodes} nodes, features have "
             f"{x.data.shape[0]} rows")
 
@@ -334,7 +329,7 @@ def gather_rows(x, adj, endpoint):
 def scatter_rows(x, adj, endpoint):
     """Row v of the result sums the rows e of x with adj.<endpoint>[e] == v."""
     if x.data.ndim != 2 or x.data.shape[0] != adj.n_edges:
-        raise ShapeError(
+        raise ContractError(
             f"scatter_rows: one row per edge required, got {x.data.shape} "
             f"for {adj.n_edges} edges")
     idx = adj.endpoint(endpoint)
@@ -369,12 +364,12 @@ def gated_aggregate(center, neighbor, values, adj):
     _check_node_rows(neighbor, adj, "gated_aggregate")
     _check_node_rows(values, adj, "gated_aggregate")
     if center.data.ndim != 2 or center.data.shape[0] != adj.n_edges:
-        raise ShapeError(
+        raise ContractError(
             f"gated_aggregate: one center row per edge required, got "
             f"{center.data.shape} for {adj.n_edges} edges")
     width = center.data.shape[1]
     if neighbor.data.shape[1] != width or values.data.shape[1] != width:
-        raise ShapeError(
+        raise ContractError(
             f"gated_aggregate: widths differ: center {width}, neighbor "
             f"{neighbor.data.shape[1]}, values {values.data.shape[1]}")
     src = adj.src
@@ -412,10 +407,10 @@ def batch_norm(x, gamma, beta):
     no stored state.
     """
     if x.data.ndim != 2:
-        raise ShapeError("batch_norm expects a 2-d tensor")
+        raise ContractError("batch_norm expects a 2-d tensor")
     n = x.data.shape[0]
     if n < 2:
-        raise DegenerateBatchError("batch norm needs at least 2 nodes")
+        raise ContractError("batch norm needs at least 2 nodes")
     mean = x.data.mean(axis=0)
     var = x.data.var(axis=0)
     inv_std = 1.0 / np.sqrt(var + BATCH_NORM_EPS)
@@ -450,7 +445,7 @@ def softmax_cross_entropy(logits, targets, class_weights):
     class_weights = np.asarray(class_weights, dtype=np.float64)
     n, n_classes = logits.data.shape
     if targets.shape != (n,):
-        raise ShapeError("one target per logit row required")
+        raise ContractError("one target per logit row required")
     if targets.size and (targets.min() < 0 or targets.max() >= n_classes):
         raise ContractError("target class out of range")
     if (class_weights < 0).any():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graphbench.adjacency import SparseAdjacency
-from graphbench.errors import GraphStructureError
+from graphbench.errors import ContractError
 
 
 def test_from_undirected_stores_both_directions():
@@ -14,43 +14,43 @@ def test_from_undirected_stores_both_directions():
 
 
 def test_self_loops_rejected():
-    with pytest.raises(GraphStructureError):
+    with pytest.raises(ContractError, match="self-loop in undirected edge list"):
         SparseAdjacency.from_undirected(3, np.array([[1, 1]]))
 
 
 def test_duplicate_pairs_rejected():
-    with pytest.raises(GraphStructureError, match="duplicate undirected edge"):
+    with pytest.raises(ContractError, match="duplicate undirected edge"):
         SparseAdjacency.from_undirected(3, np.array([[0, 1], [1, 0]]))
-    with pytest.raises(GraphStructureError, match="duplicate undirected edge"):
+    with pytest.raises(ContractError, match="duplicate undirected edge"):
         SparseAdjacency.from_undirected(3, np.array([[0, 1], [0, 1]]))
 
 
 def test_duplicate_directed_edge_rejected():
-    with pytest.raises(GraphStructureError, match="duplicate directed edge"):
+    with pytest.raises(ContractError, match="duplicate directed edge"):
         SparseAdjacency(3, [0, 0], [1, 1])
-    with pytest.raises(GraphStructureError, match="duplicate directed edge"):
+    with pytest.raises(ContractError, match="duplicate directed edge"):
         SparseAdjacency(3, [2, 0, 1, 0], [0, 1, 0, 1])
     # opposite directions are two distinct directed edges
     assert SparseAdjacency(3, [0, 1], [1, 0]).n_edges == 2
 
 
 def test_out_of_range_rejected():
-    with pytest.raises(GraphStructureError, match="node index out of range"):
+    with pytest.raises(ContractError, match="node index out of range"):
         SparseAdjacency.from_undirected(3, np.array([[0, 3]]))
-    with pytest.raises(GraphStructureError, match="negative node index"):
+    with pytest.raises(ContractError, match="negative node index"):
         SparseAdjacency(3, np.array([-1]), np.array([0]))
 
 
 def test_out_of_range_reported_before_duplicates():
     # with n_nodes = 3 the pair keys lo * 3 + hi of (0, 4) and (1, 1), or of
     # (0, 5) and (1, 2), collide; the range error must win
-    with pytest.raises(GraphStructureError, match="node index out of range"):
+    with pytest.raises(ContractError, match="node index out of range"):
         SparseAdjacency.from_undirected(3, np.array([[0, 5], [1, 2]]))
-    with pytest.raises(GraphStructureError, match="node index out of range"):
+    with pytest.raises(ContractError, match="node index out of range"):
         SparseAdjacency.from_undirected(3, np.array([[0, 3], [3, 0]]))
-    with pytest.raises(GraphStructureError, match="node index out of range"):
+    with pytest.raises(ContractError, match="node index out of range"):
         SparseAdjacency(3, [4, 1], [0, 1])
-    with pytest.raises(GraphStructureError, match="negative node index"):
+    with pytest.raises(ContractError, match="negative node index"):
         SparseAdjacency(3, [2, -1], [0, 1])
 
 
@@ -175,7 +175,7 @@ def test_duplicates_rejected_exactly_where_lexsort_found_them():
         expect = lexsort_adjacency(n, src, dst)
         if expect is None:
             rejected += 1
-            with pytest.raises(GraphStructureError, match="duplicate directed edge"):
+            with pytest.raises(ContractError, match="duplicate directed edge"):
                 SparseAdjacency(n, src, dst)
         else:
             adj = SparseAdjacency(n, src, dst)

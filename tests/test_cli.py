@@ -173,6 +173,17 @@ def test_sweep_cli_refuses_a_malformed_cell_before_writing(tmp_path, capsys):
     assert not (out / "spec.json").exists()
 
 
+def test_sweep_cli_refuses_a_repeated_architecture_before_writing(tmp_path, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("name = dup\nsweep = layers\ntask = clustering\n"
+                      "archs = commnet, commnet, gated_gcn\nvalues = 1\n"
+                      "trials = 1\nn_iters = 3\neval_instances = 1\nhidden_dim = 4\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+    assert "repeated architecture" in capsys.readouterr().err
+    assert not (out / "spec.json").exists()
+
+
 def test_gradcheck_cli_passes():
     assert main(["gradcheck"]) == 0
 

@@ -136,12 +136,17 @@ def test_spec_rejects_counts_below_one(counts):
     dict(n_iters=3.5),
     dict(eval_instances=1.5),
     dict(sweep="learning_speed", values=(0,), curve_every=2.5),
+    # a repeated cell would take the record computed for the cell before it
+    dict(archs=("commnet", "commnet", "gated_gcn")),
+    dict(values=(1, 1, 2)),
+    dict(values=(2, 1, 2.0)),
 ], ids=["zero-hidden", "zero-inner-steps", "zero-layers", "negative-budget",
         "negative-budget-value", "q-above-one", "unknown-optimizer", "negative-lr",
         "q-in-unfit-budget-cell", "inner-steps-in-unfit-budget-cell",
         "fractional-layers", "fractional-hidden", "fractional-inner-steps",
         "fractional-trials", "fractional-iters", "fractional-eval-instances",
-        "fractional-curve-every"])
+        "fractional-curve-every", "repeated-arch", "repeated-value",
+        "repeated-value-as-float"])
 def test_spec_rejects_malformed_cells(bad):
     # each fails before spec.json is written, not at the first cell
     with pytest.raises(ContractError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphbench.errors import ContractError, InsufficientSamplesError
+from graphbench.errors import ContractError
 from graphbench.generators import (
     SbmParams,
     _sbm_edge_pairs,
@@ -15,6 +15,8 @@ from graphbench.generators import (
     sbm_generate,
     validate_sbm_stats,
 )
+from graphbench.seeding import derive_seed
+from graphbench.training import make_instance_fn
 
 
 def test_sbm_params_validated():
@@ -106,7 +108,7 @@ def test_matching_instance_structure():
     assert g.n_communities == 11
     assert inst.targets.sum() == 20
     assert np.array_equal(np.nonzero(inst.targets)[0], np.arange(host_n, g.n_nodes))
-    assert inst.n_classes == 2 and inst.input_dim == 3
+    assert inst.n_classes == 2 and inst.node_features().shape[1] == 3
 
 
 def test_matching_pattern_embedded_edge_exact():
@@ -230,7 +232,7 @@ def test_out_of_range_count_or_label_names_its_line_and_field(how, field):
 
 def test_validate_sbm_stats_needs_samples():
     graphs = [sbm_generate(SbmParams(0.5, 0.1, (5, 5)), s) for s in range(10)]
-    with pytest.raises(InsufficientSamplesError):
+    with pytest.raises(ContractError, match="need at least 100 graphs, got 10"):
         validate_sbm_stats(graphs, 0.5, 0.1)
 
 
@@ -241,6 +243,15 @@ def test_validate_sbm_stats_on_target():
     assert stats.flags == []
     assert abs(stats.intra_density - 0.5) < 0.02
     assert abs(stats.inter_density - 0.1) < 0.02
+
+
+def test_validate_sbm_stats_leaves_out_the_fixed_pattern():
+    # the pattern is one draw copied into every matching instance, so its
+    # internal pairs are not 100 fresh draws at p = 0.5
+    instance_fn = make_instance_fn("matching", 0.1, 2)
+    graphs = [instance_fn(derive_seed(2, "gen", k)).graph for k in range(100)]
+    stats = validate_sbm_stats(graphs, 0.5, 0.1)
+    assert stats.flags == []
 
 
 def test_validate_sbm_stats_flags_wrong_probability():

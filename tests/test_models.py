@@ -1,3 +1,4 @@
+import json
 import zipfile
 
 import numpy as np
@@ -400,6 +401,16 @@ def test_load_refuses_mismatched_checkpoint(tmp_path):
                               **{"buffer:layers.0.norm.running_mean": np.zeros(6)}))
     with pytest.raises(ContractError, match="shape"):
         GraphModel.load(write("shape.npz", **{f"param:{norm}": np.ones(7)}))
+
+    config = json.loads(str(arrays["__config__"]))
+    with pytest.raises(ContractError, match="no __config__ entry"):
+        GraphModel.load(write("no-config.npz", __config__=None))
+    extra = np.array(json.dumps({**config, "extra": 1}))
+    with pytest.raises(ContractError, match="malformed __config__.*'extra'"):
+        GraphModel.load(write("extra-field.npz", __config__=extra))
+    short = np.array(json.dumps({k: v for k, v in config.items() if k != "n_classes"}))
+    with pytest.raises(ContractError, match="malformed __config__.*'n_classes'"):
+        GraphModel.load(write("missing-field.npz", __config__=short))
 
 
 def test_recurrent_layers_run_inner_steps():
