@@ -11,7 +11,14 @@ The kernels multiply by four unit-valued CSR operators (the adjacency,
 its transpose, and the incidence by dst and by src), each built on first
 use and kept for the life of the graph, with every row's columns in the
 order a scatter-add over the stored edges would reach them.
+
+``halves`` cuts the edges in two at a destination boundary, also once
+per graph, so that ``tensor.gated_aggregate`` can sum each half's node
+rows on its own thread: every node's in-edges fall in one half, so each
+output row is summed whole, in the same order, by one thread.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,7 +36,7 @@ class SparseAdjacency:
             the slice offsets[i]:offsets[i+1].
     """
 
-    __slots__ = ("n_nodes", "src", "dst", "offsets",
+    __slots__ = ("n_nodes", "src", "dst", "offsets", "_halves",
                  "_adj_to_dst", "_adj_to_src", "_inc_to_dst", "_inc_to_src")
 
     def __init__(self, n_nodes, src, dst):
@@ -57,6 +64,7 @@ class SparseAdjacency:
         self._adj_to_src = None
         self._inc_to_dst = None
         self._inc_to_src = None
+        self._halves = None
 
     @classmethod
     def from_undirected(cls, n_nodes, pairs):
@@ -133,6 +141,24 @@ class SparseAdjacency:
                                          self.n_edges)
         return self._inc_to_src
 
+    def halves(self):
+        """The edges cut in two at the first node whose in-edge offset
+        reaches E / 2, as two ``EdgeHalf`` records, built on first use.
+
+        Half 0 owns node rows [0, cut) and half 1 rows [cut, n_nodes), each
+        with all of its rows' in-edges; either half may have no edges.
+        """
+        if self._halves is None:
+            cut = int(np.searchsorted(self.offsets, self.n_edges / 2))
+            self._halves = (self._half(0, cut), self._half(cut, self.n_nodes))
+        return self._halves
+
+    def _half(self, first, stop):
+        start, end = int(self.offsets[first]), int(self.offsets[stop])
+        incidence = _unit_csr(np.arange(end - start), self.offsets[first:stop + 1] - start,
+                              end - start)
+        return EdgeHalf(slice(first, stop), slice(start, end), incidence)
+
     def to_dense(self):
         """The n x n matrix with A[i, j] = 1 for each edge j -> i.
 
@@ -145,6 +171,21 @@ class SparseAdjacency:
 
     def __repr__(self):
         return f"SparseAdjacency(n_nodes={self.n_nodes}, n_edges={self.n_edges})"
+
+
+class EdgeHalf(NamedTuple):
+    """One half of a graph's edges, cut at a destination boundary.
+
+    ``nodes`` slices the node rows the half owns and ``edges`` their
+    in-edges, which are contiguous because edges are sorted by dst.
+    ``incidence`` is rows ``nodes`` of ``incidence("dst")`` with columns
+    counted from ``edges.start``: it sums a half-length edge array into
+    the half's node rows.
+    """
+
+    nodes: slice
+    edges: slice
+    incidence: sp.csr_matrix
 
 
 def _check_node_range(n_nodes, *indices):

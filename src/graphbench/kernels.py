@@ -5,7 +5,11 @@ graph (see ``SparseAdjacency``) with a dense array. ``to`` names the edge
 endpoint whose node rows receive the sums: ``"dst"`` aggregates along the
 edges, ``"src"`` along reversed edges, which is the backward of the
 ``"dst"`` direction. ``gated_neighbor_sum`` has only the ``"dst"``
-direction; ``tensor.gated_aggregate`` spells out its backward.
+direction, and no library code calls it: ``tensor.gated_aggregate``
+computes the same products on two halves of the edges, one per thread,
+with the operators of ``SparseAdjacency.halves``. It stays as the
+reference the kernel tests check and as a name the benchmark's tracer
+wraps.
 
 The products are bit-identical to an unbuffered scatter-add that visits
 the edges in storage order. scipy's CSR product fills each output row

@@ -26,6 +26,15 @@ Gradient arrays are shared, not copied: :func:`backward` may hand one
 array to several leaves (both inputs of an ``add`` get the same ``.grad``).
 Treat every ``.grad`` as read-only; to change one, rebind it to a new array.
 
+:func:`gated_aggregate`, the gated edge sum that dominates the gated
+architectures, runs on two threads: the caller computes one half of the
+graph's edges and a helper thread, started on first use, the other. The
+halves are cut at a destination boundary, so the result is bit-identical
+to one thread's and there is nothing to choose: the op always splits, with
+no size threshold and no thread-count setting. A forked child (a sweep's
+worker process) inherits the helper's executor but not its thread, so an
+at-fork hook drops the executor and the child starts its own.
+
 On glibc, importing this module raises malloc's mmap and trim thresholds
 (see :func:`_keep_freed_memory`), so the pages a training step frees are
 reused by the next step instead of being returned to the kernel and
@@ -33,7 +42,9 @@ faulted back in.
 """
 
 import ctypes
+import os
 import weakref
+from concurrent import futures
 
 import numpy as np
 
@@ -43,6 +54,7 @@ from .errors import ContractError
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _MMAP_THRESHOLD_BYTES = 32 << 20
 _TRIM_THRESHOLD_BYTES = 512 << 20
 
@@ -54,8 +66,10 @@ def _keep_freed_memory():
     and the high trim threshold keeps the heap from shrinking between
     steps. The mmap threshold goes first: fixing only the trim threshold
     turns off glibc's adaptive mmap threshold, so each large array would
-    be mmapped and unmapped on every step. Returns False, changing
-    nothing, where ``mallopt`` is missing or refuses the mmap threshold.
+    be mmapped and unmapped on every step. One arena serves every thread,
+    so the helper thread's allocations reuse the same freed blocks instead
+    of growing an arena of their own. Returns False, changing nothing,
+    where ``mallopt`` is missing or refuses the mmap threshold.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -65,6 +79,7 @@ def _keep_freed_memory():
     mallopt.restype = ctypes.c_int
     if not mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES):
         return False
+    mallopt(_M_ARENA_MAX, 1)
     return bool(mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES))
 
 
@@ -360,6 +375,13 @@ def gated_aggregate(center, neighbor, values, adj):
     gated sum: the op performs the chain's floating-point operations in
     the chain's order, but as one tape entry that keeps only the E x H
     gate array.
+
+    The work runs on two threads. ``adj.halves()`` cuts the edges at a
+    destination boundary; the helper thread computes one half's gates and
+    output rows while the caller computes the other's, and each output row,
+    summed by one thread from zero in edge order, is the same sum as
+    before. Backward splits its per-edge products the same way, then runs
+    its two by-source products one per thread.
     """
     _check_node_rows(neighbor, adj, "gated_aggregate")
     _check_node_rows(values, adj, "gated_aggregate")
@@ -372,24 +394,79 @@ def gated_aggregate(center, neighbor, values, adj):
         raise ContractError(
             f"gated_aggregate: widths differ: center {width}, neighbor "
             f"{neighbor.data.shape[1]}, values {values.data.shape[1]}")
-    src = adj.src
-    vd = values.data
-    gates = center.data + np.take(neighbor.data, src, axis=0)
-    _logistic(gates, gates)
-    data = kernels.gated_neighbor_sum(vd, gates, adj)
+    src, dst, vd = adj.src, adj.dst, values.data
+    halves = adj.halves()
+    gates = np.empty_like(center.data)
+    data = np.empty_like(vd)
+
+    # with mode="clip", take writes into ``out`` directly; every index is in
+    # range, so nothing is clipped
+    def forward_half(half):
+        e = half.edges
+        half_gates = np.take(neighbor.data, src[e], axis=0, out=gates[e], mode="clip")
+        half_gates += center.data[e]
+        _logistic(half_gates, half_gates)
+        data[half.nodes] = half.incidence @ (gates[e] * np.take(vd, src[e], axis=0))
+
+    _on_both_halves(forward_half, halves)
 
     def rule(g):
-        # g[dst] is gathered once for both gradients
-        g_dst = np.take(g, adj.dst, axis=0)
-        gv = kernels.scatter_rows(gates * g_dst, adj, "src")
-        gx = np.take(vd, src, axis=0)
-        gx *= g_dst
-        del g_dst  # one E x H array fewer while the gate factors run
-        gx *= gates
-        gx *= 1.0 - gates
-        return gv, gx, kernels.scatter_rows(gx, adj, "src")
+        gv_edges = np.empty_like(gates)
+        gx = np.empty_like(gates)
+
+        def backward_half(half):
+            e = half.edges
+            # g[dst] is gathered once for both gradients, into the values
+            # gradient's edge rows, which then take their gate factor
+            g_dst = np.take(g, dst[e], axis=0, out=gv_edges[e], mode="clip")
+            gx_half = np.take(vd, src[e], axis=0, out=gx[e], mode="clip")
+            gx_half *= g_dst
+            g_dst *= gates[e]
+            gx_half *= gates[e]
+            gx_half *= 1.0 - gates[e]
+
+        _on_both_halves(backward_half, halves)
+        by_src = adj.incidence("src")
+        gv, g_neighbor = _on_both(lambda: by_src @ gv_edges, lambda: by_src @ gx)
+        return gv, gx, g_neighbor
 
     return _result(data, (values, center, neighbor), rule)
+
+
+# ---------------------------------------------------------------------------
+# the helper thread that computes one half of each gated aggregation
+# ---------------------------------------------------------------------------
+
+_helper = None
+
+
+def _on_both(first, second):
+    """Run ``second()`` on the helper thread while the caller runs
+    ``first()``; return both results. An exception on the helper re-raises
+    here. The helper calls only numpy and scipy: no op or kernel, which a
+    profiler may rebind and would then see from two threads. numpy's
+    floating-point error state is per thread, so a caller's ``np.errstate``
+    does not reach ``second``."""
+    global _helper
+    if _helper is None:
+        _helper = futures.ThreadPoolExecutor(max_workers=1)
+    pending = _helper.submit(second)
+    return first(), pending.result()
+
+
+def _on_both_halves(fn, halves):
+    _on_both(lambda: fn(halves[0]), lambda: fn(halves[1]))
+
+
+def _forget_helper():
+    # a forked child inherits the executor but not its thread, so work
+    # submitted there would wait forever; the child starts its own
+    global _helper
+    _helper = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
 
 
 # ---------------------------------------------------------------------------

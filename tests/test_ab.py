@@ -118,3 +118,11 @@ def test_regressed_past_the_bound_only():
     assert worse["regressed"] is True and worse["gain"] is False
     within = ab.summarize(rss_pairs(REF_MB, [213.0] * 10), BOUNDED)["metrics"]["peak_rss_mb"]
     assert within["regressed"] is False
+
+
+def test_environment_records_usable_cpus_and_load_at_both_ends():
+    env = ab.environment({"ref": None}, [0.5, 0.25, 0.125])
+    assert env["loadavg_at_start"] == [0.5, 0.25, 0.125]
+    assert len(env["loadavg_at_end"]) == 3
+    assert isinstance(env["usable_cpus"], int) and 1 <= env["usable_cpus"] <= env["nproc"]
+    assert json.loads(json.dumps(env)) == env

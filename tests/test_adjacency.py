@@ -94,6 +94,25 @@ def test_offsets_partition_edges():
         assert np.all(adj.dst[lo:hi] == v)
 
 
+@pytest.mark.parametrize("n_nodes, src, dst, cut", [
+    (4, [], [], 0),
+    (5, [0, 1, 2, 4], [3, 3, 3, 3], 4),
+    (3, [2], [0], 1),
+    (8, [1, 0, 1, 2, 4, 5, 6, 7, 6], [0, 3, 3, 3, 3, 3, 3, 3, 5], 4),
+    (4, [1, 2, 3, 0], [0, 1, 2, 3], 2),
+])
+def test_halves_cut_at_a_destination_boundary(n_nodes, src, dst, cut):
+    adj = SparseAdjacency(n_nodes, src, dst)
+    first, second = adj.halves()
+    assert adj.halves() is adj.halves()
+    assert (first.nodes, second.nodes) == (slice(0, cut), slice(cut, n_nodes))
+    assert first.edges.start == 0 and second.edges.stop == adj.n_edges
+    inc = adj.incidence("dst").toarray()
+    for half in (first, second):
+        assert half.edges == slice(adj.offsets[half.nodes.start], adj.offsets[half.nodes.stop])
+        assert np.array_equal(half.incidence.toarray(), inc[half.nodes, half.edges])
+
+
 def lexsort_adjacency(n_nodes, src, dst):
     """The edge storage of the two-key lexsort constructor that the
     single-key sort replaced: (src, dst, offsets), or None where it raised

@@ -1,10 +1,15 @@
 import json
+import os
 import pathlib
 import shutil
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import graphbench
 from graphbench import acceptance, experiments
 from graphbench.errors import ContractError
 from graphbench.experiments import (
@@ -268,6 +273,44 @@ def test_run_experiment_parallel_matches_serial(tmp_path):
     run_experiment(spec, d1, workers=1)
     run_experiment(spec, d2, workers=2)
     assert (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
+
+
+FORK_SPEC = dict(name="fork", sweep="layers", task="matching", archs=("gated_gcn",),
+                 values=(1,), trials=2, seed=3, n_iters=4, eval_instances=2,
+                 hidden_dim=4, inner_steps=2, time_batches=False)
+
+# a gated forward starts the helper thread, then a sweep forks its workers
+GATED_THEN_FORK = f"""
+import sys
+import numpy as np
+from graphbench.adjacency import SparseAdjacency
+from graphbench.experiments import ExperimentSpec, run_experiment
+from graphbench.tensor import Tensor, gated_aggregate
+
+adj = SparseAdjacency(3, [0, 1], [2, 2])
+gated_aggregate(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), adj)
+run_experiment(ExperimentSpec(**{FORK_SPEC!r}), sys.argv[1], workers=2)
+"""
+
+
+def test_forked_workers_after_a_gated_forward_match_serial(tmp_path):
+    # a forked worker inherits the parent's helper executor but not its
+    # thread; unless the fork resets it, the worker's first gated forward
+    # waits forever
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(graphbench.__file__)))
+    proc = subprocess.Popen([sys.executable, "-c", GATED_THEN_FORK, str(tmp_path / "parallel")],
+                            env=env, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the workers too
+        proc.communicate()
+        pytest.fail("the forked sweep did not finish in 120 s")
+    assert proc.returncode == 0, err
+    run_experiment(ExperimentSpec(**FORK_SPEC), tmp_path / "serial", workers=1)
+    assert ((tmp_path / "parallel" / "results.csv").read_bytes()
+            == (tmp_path / "serial" / "results.csv").read_bytes())
 
 
 def test_learning_speed_writes_curves(tmp_path):

@@ -33,8 +33,9 @@ MAX_FAULTS_PER_ITER = 200
 # array; the per-edge gate op keeps one such array per layer (per inner
 # step after the first in glstm), so a regression that tapes more edge
 # arrays shows here. The tape keeps only what backward reads: no op
-# output, and each rule only the arrays it uses, which measured 9.6 and
-# 22.2 (10.6 and 23.1 while gated_aggregate's backward kept g[dst] alive
+# output, and each rule only the arrays it uses, which measured 10.1 and
+# 22.6 (9.6 and 22.2 before gated_aggregate's backward kept both per-edge
+# products for its two threads; 10.6 and 23.1 while it kept g[dst] alive
 # past its last use). A tape whose entries hold their op outputs measured
 # 18.3 and 40.9 (bounded at 22 and 48 then), and also keeping every
 # intermediate gradient until backward returns measured 24.8 and 54.7;

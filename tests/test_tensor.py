@@ -336,6 +336,12 @@ GATED_AGGREGATE_GRAPHS = [
     SparseAdjacency(4, [], []),
     # the gradient-check graph: node 4 has no edges, 0 and 2 send and receive several
     SparseAdjacency(6, [0, 2, 2, 5, 1, 0, 3], [2, 0, 3, 2, 0, 5, 0]),
+    # every edge into node 3: the second half of the edges is empty
+    SparseAdjacency(5, [0, 1, 2, 4], [3, 3, 3, 3]),
+    # a single edge
+    SparseAdjacency(3, [2], [0]),
+    # the cut falls at node 3, which has the largest in-degree (7 of 9 edges)
+    SparseAdjacency(8, [1, 0, 1, 2, 4, 5, 6, 7, 6], [0, 3, 3, 3, 3, 3, 3, 3, 5]),
 ]
 
 
@@ -390,6 +396,15 @@ def test_gated_aggregate_bit_identical_to_unfused_chain(graph_id):
     for got, want in zip(fused, chain):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+def test_gated_aggregate_repeats_bit_identical():
+    # the halves run on two threads; 50 calls on one graph give the same bytes
+    adj = GATED_AGGREGATE_GRAPHS[0]
+    first = _gated_chain_and_grads(gated_aggregate, adj, 300)
+    for _ in range(50):
+        again = _gated_chain_and_grads(gated_aggregate, adj, 300)
+        assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
 
 
 def test_gated_aggregate_shapes_checked():

@@ -132,14 +132,19 @@ def summarize(runs, metric_specs):
     }
 
 
-def environment(envs):
+def environment(envs, loadavg_at_start):
+    """The host as the runs saw it. ``usable_cpus`` counts the CPUs this
+    process may run on, which bounds a two-thread op where ``nproc`` (every
+    CPU of the machine) does not."""
     return {
         "nproc": os.cpu_count(),
+        "usable_cpus": len(os.sched_getaffinity(0)),
         "machine": platform.machine(),
         "system": platform.system(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "loadavg_at_start": loadavg_at_start,
         "loadavg_at_end": list(os.getloadavg()),
         "bench_env": envs,
     }
@@ -160,6 +165,7 @@ def main(argv=None):
 
     metric_specs = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    loadavg_at_start = list(os.getloadavg())
     runs, order, exit_codes, envs = [], [], [], {}
     with tempfile.TemporaryDirectory(prefix="graphbench-ab-") as tmp:
         commit = export_ref(args.ref, tmp)
@@ -191,7 +197,7 @@ def main(argv=None):
         "order": order,
         "exit_codes": exit_codes,
         **summary,
-        "environment": environment(envs),
+        "environment": environment(envs, loadavg_at_start),
     }
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
