@@ -27,13 +27,15 @@ array to several leaves (both inputs of an ``add`` get the same ``.grad``).
 Treat every ``.grad`` as read-only; to change one, rebind it to a new array.
 
 :func:`gated_aggregate`, the gated edge sum that dominates the gated
-architectures, runs on two threads: the caller computes one half of the
-graph's edges and a helper thread, started on first use, the other. The
-halves are cut at a destination boundary, so the result is bit-identical
-to one thread's and there is nothing to choose: the op always splits, with
-no size threshold and no thread-count setting. A forked child (a sweep's
-worker process) inherits the helper's executor but not its thread, so an
-at-fork hook drops the executor and the child starts its own.
+architectures, runs on two threads where a core is free for the second:
+the caller computes one half of the graph's edges and a helper thread,
+started on first use, the other. The halves are cut at a destination
+boundary, so the result is bit-identical to one thread's either way.
+Whether to split is read from the process, not set: a process with one
+usable CPU, or a worker of a multiprocessing pool (a sweep's workers,
+which already keep the cores busy), computes both halves itself. A forked
+child inherits the parent's executor but not its thread, so an at-fork
+hook drops the executor and the child decides afresh.
 
 On glibc, importing this module raises malloc's mmap and trim thresholds
 (see :func:`_keep_freed_memory`), so the pages a training step frees are
@@ -42,6 +44,7 @@ faulted back in.
 """
 
 import ctypes
+import multiprocessing
 import os
 import weakref
 from concurrent import futures
@@ -54,7 +57,6 @@ from .errors import ContractError
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
 _MMAP_THRESHOLD_BYTES = 32 << 20
 _TRIM_THRESHOLD_BYTES = 512 << 20
 
@@ -66,10 +68,8 @@ def _keep_freed_memory():
     and the high trim threshold keeps the heap from shrinking between
     steps. The mmap threshold goes first: fixing only the trim threshold
     turns off glibc's adaptive mmap threshold, so each large array would
-    be mmapped and unmapped on every step. One arena serves every thread,
-    so the helper thread's allocations reuse the same freed blocks instead
-    of growing an arena of their own. Returns False, changing nothing,
-    where ``mallopt`` is missing or refuses the mmap threshold.
+    be mmapped and unmapped on every step. Returns False, changing
+    nothing, where ``mallopt`` is missing or refuses the mmap threshold.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -79,7 +79,6 @@ def _keep_freed_memory():
     mallopt.restype = ctypes.c_int
     if not mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES):
         return False
-    mallopt(_M_ARENA_MAX, 1)
     return bool(mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES))
 
 
@@ -376,7 +375,8 @@ def gated_aggregate(center, neighbor, values, adj):
     the chain's order, but as one tape entry that keeps only the E x H
     gate array.
 
-    The work runs on two threads. ``adj.halves()`` cuts the edges at a
+    The work runs on two threads where the process has a core to spare
+    (see :func:`_core_to_spare`). ``adj.halves()`` cuts the edges at a
     destination boundary; the helper thread computes one half's gates and
     output rows while the caller computes the other's, and each output row,
     summed by one thread from zero in edge order, is the same sum as
@@ -437,7 +437,7 @@ def gated_aggregate(center, neighbor, values, adj):
 # the helper thread that computes one half of each gated aggregation
 # ---------------------------------------------------------------------------
 
-_helper = None
+_helper = None  # the executor, False where the caller computes both halves
 
 
 def _on_both(first, second):
@@ -446,12 +446,25 @@ def _on_both(first, second):
     here. The helper calls only numpy and scipy: no op or kernel, which a
     profiler may rebind and would then see from two threads. numpy's
     floating-point error state is per thread, so a caller's ``np.errstate``
-    does not reach ``second``."""
+    does not reach ``second``. Where :func:`_core_to_spare` is false the
+    caller runs ``second()`` after ``first()``."""
     global _helper
     if _helper is None:
-        _helper = futures.ThreadPoolExecutor(max_workers=1)
+        _helper = futures.ThreadPoolExecutor(max_workers=1) if _core_to_spare() else False
+    if not _helper:
+        return first(), second()
     pending = _helper.submit(second)
     return first(), pending.result()
+
+
+def _core_to_spare():
+    """Whether a helper thread would have a core of its own: more than one
+    usable CPU, and not a multiprocessing worker. A sweep's pool workers
+    already keep the cores busy, so a helper there would share a core with
+    a sibling worker; a two-worker gated_gcn sweep on two cores ran 8%
+    slower with one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cpus or 1) > 1 and multiprocessing.parent_process() is None
 
 
 def _on_both_halves(fn, halves):
@@ -460,7 +473,8 @@ def _on_both_halves(fn, halves):
 
 def _forget_helper():
     # a forked child inherits the executor but not its thread, so work
-    # submitted there would wait forever; the child starts its own
+    # submitted there would wait forever; the child decides afresh, after
+    # multiprocessing has recorded its parent
     global _helper
     _helper = None
 

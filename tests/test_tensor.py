@@ -1,5 +1,8 @@
 import inspect
+import os
+import threading
 import weakref
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -405,6 +408,19 @@ def test_gated_aggregate_repeats_bit_identical():
     for _ in range(50):
         again = _gated_chain_and_grads(gated_aggregate, adj, 300)
         assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
+
+
+def _threads_after_a_gated_step():
+    _gated_chain_and_grads(gated_aggregate, GATED_AGGREGATE_GRAPHS[0], 300)
+    return threading.active_count()
+
+
+def test_pool_workers_compute_both_halves_themselves():
+    # a sweep's workers already keep the cores busy, so a worker starts no
+    # helper thread; a process of its own starts one where a core is free
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(_threads_after_a_gated_step).result() == 1
+    assert tensor._core_to_spare() == (len(os.sched_getaffinity(0)) > 1)
 
 
 def test_gated_aggregate_shapes_checked():
