@@ -7,10 +7,13 @@ That order comes from one stable argsort of the int64 key
 dst * n_nodes + src, which is unique per edge (duplicates are rejected)
 and cannot overflow while n_nodes**2 < 2**63.
 
-The kernels multiply by four unit-valued CSR operators (the adjacency,
-its transpose, and the incidence by dst and by src), each built on first
-use and kept for the life of the graph, with every row's columns in the
-order a scatter-add over the stored edges would reach them.
+The kernels multiply by four unit-valued operators, each built on first
+use and kept for the life of the graph. The adjacency and the incidence
+by dst are CSR, each row listing its columns in stored edge order. The
+by-source ones are CSC transposes, of the adjacency and of the E x n
+source selector; a CSC product adds into each output row column by
+column, which is again stored edge order. So the constructor's sort is
+the only sort a graph performs.
 
 ``halves`` cuts the edges in two at a destination boundary, also once
 per graph, so that ``tensor.gated_aggregate`` can sum each half's node
@@ -59,7 +62,8 @@ class SparseAdjacency:
         self.n_nodes = int(n_nodes)
         self.src = src[order]
         self.dst = dst[order]
-        self.offsets = _row_offsets(self.dst, n_nodes)
+        self.offsets = np.zeros(n_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.dst, minlength=n_nodes), out=self.offsets[1:])
         self._adj_to_dst = None
         self._adj_to_src = None
         self._inc_to_dst = None
@@ -111,22 +115,23 @@ class SparseAdjacency:
     def adjacency_matrix(self, to):
         """n x n operator M with (M @ h)[v] = sum of h[u] over edges u -> v.
 
-        ``to="src"`` gives the transpose: sums along reversed edges.
+        ``to="src"`` gives the transpose, a CSC view of the same arrays: it
+        sums along reversed edges, adding in ascending destination.
         """
         self.endpoint(to)  # rejects any name but "dst" and "src"
+        if self._adj_to_dst is None:
+            self._adj_to_dst = _unit_csr(self.src, self.offsets, self.n_nodes)
         if to == "dst":
-            if self._adj_to_dst is None:
-                self._adj_to_dst = _unit_csr(self.src, self.offsets, self.n_nodes)
             return self._adj_to_dst
         if self._adj_to_src is None:
-            by_src = self.incidence("src")
-            self._adj_to_src = _unit_csr(self.dst[by_src.indices], by_src.indptr,
-                                         self.n_nodes)
+            self._adj_to_src = self._adj_to_dst.T
         return self._adj_to_src
 
     def incidence(self, to):
         """n x E operator M with (M @ rows)[v] = sum of rows[e] over the edges
-        whose ``to`` endpoint is v."""
+        whose ``to`` endpoint is v. ``to="src"`` gives the transpose of the
+        E x n source selector, a CSC matrix that adds in ascending edge order.
+        """
         self.endpoint(to)
         if to == "dst":
             if self._inc_to_dst is None:
@@ -134,11 +139,8 @@ class SparseAdjacency:
                                              self.n_edges)
             return self._inc_to_dst
         if self._inc_to_src is None:
-            # a stable sort keeps each source's edges in ascending edge order,
-            # which (edges being sorted by (dst, src)) is also ascending dst
-            order = np.argsort(self.src, kind="stable")
-            self._inc_to_src = _unit_csr(order, _row_offsets(self.src, self.n_nodes),
-                                         self.n_edges)
+            self._inc_to_src = _unit_csr(self.src, np.arange(self.n_edges + 1),
+                                         self.n_nodes).T
         return self._inc_to_src
 
     def halves(self):
@@ -200,13 +202,6 @@ def _check_node_range(n_nodes, *indices):
 def _has_repeat(sorted_keys):
     """Whether any two neighbouring entries of a sorted array are equal."""
     return bool((sorted_keys[1:] == sorted_keys[:-1]).any())
-
-
-def _row_offsets(keys, n_rows):
-    """CSR row pointer: row r spans offsets[r]:offsets[r+1] of keys sorted by row."""
-    offsets = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=n_rows), out=offsets[1:])
-    return offsets
 
 
 def _unit_csr(columns, indptr, n_cols):

@@ -1,6 +1,6 @@
 """Edge-aggregation kernels, the hot inner loops of every architecture.
 
-Each kernel is one product of a cached unit-valued CSR operator of the
+Each kernel is one product of a cached unit-valued sparse operator of the
 graph (see ``SparseAdjacency``) with a dense array. ``to`` names the edge
 endpoint whose node rows receive the sums: ``"dst"`` aggregates along the
 edges, ``"src"`` along reversed edges, which is the backward of the
@@ -12,9 +12,9 @@ reference the kernel tests check and as a name the benchmark's tracer
 wraps.
 
 The products are bit-identical to an unbuffered scatter-add that visits
-the edges in storage order. scipy's CSR product fills each output row
-from zero, adding 1.0 * x for each stored column in index order, and each
-operator's row lists its columns in exactly that edge order.
+the edges in storage order: scipy fills each output row from zero, adding
+1.0 * x per stored entry in edge order, row by row for the CSR operators
+and column by column for the by-source CSC transposes.
 
 ``tensor`` looks the kernels up as ``kernels.<name>`` at call time, so
 rebinding a module attribute (as a profiler does) reaches every call.

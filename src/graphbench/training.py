@@ -60,12 +60,12 @@ def task_dims(task):
 
 def model_config(arch, task, n_layers, hidden_dim=None, budget=None,
                  inner_steps=3, residual=True, use_norm=True):
-    """The ModelConfig of one run on ``task``: ``hidden_dim`` if set, else the
-    largest width that fits ``budget``. Every field is checked before a budget
-    is solved, so only a budget too small to fit raises BudgetError.
+    """The ModelConfig of one run on ``task``: ``hidden_dim`` or, never with
+    it, the largest width that fits ``budget``. Every field is checked before
+    a budget is solved, so only a budget too small to fit raises BudgetError.
     """
-    if hidden_dim is None and budget is None:
-        raise ContractError("set hidden_dim or budget")
+    if (hidden_dim is None) == (budget is None):
+        raise ContractError("set hidden_dim or budget, not both")
     input_dim, n_classes = task_dims(task)
     config = ModelConfig(arch, n_layers, 1 if hidden_dim is None else hidden_dim,
                          input_dim, n_classes, inner_steps, residual, use_norm)

@@ -130,6 +130,8 @@ def test_spec_rejects_counts_below_one(counts):
     dict(q_noise=1.5),
     dict(optimizer="bogus"),
     dict(learning_rate=-1.0),
+    # a width and a budget together would train at the width and record both
+    dict(budget=100000),
     # every cell's budget is too small, which alone stays a per-cell error
     dict(sweep="budget", values=(10,), hidden_dim=None, q_noise=1.5),
     dict(sweep="budget", values=(10,), hidden_dim=None, inner_steps=0),
@@ -147,7 +149,8 @@ def test_spec_rejects_counts_below_one(counts):
     dict(values=(2, 1, 2.0)),
 ], ids=["zero-hidden", "zero-inner-steps", "zero-layers", "negative-budget",
         "negative-budget-value", "q-above-one", "unknown-optimizer", "negative-lr",
-        "q-in-unfit-budget-cell", "inner-steps-in-unfit-budget-cell",
+        "hidden-and-budget", "q-in-unfit-budget-cell",
+        "inner-steps-in-unfit-budget-cell",
         "fractional-layers", "fractional-hidden", "fractional-inner-steps",
         "fractional-trials", "fractional-iters", "fractional-eval-instances",
         "fractional-curve-every", "repeated-arch", "repeated-value",

@@ -13,6 +13,16 @@ def random_graph(seed):
     return sbm_generate(SbmParams(0.6, 0.3, sizes), seed)
 
 
+def random_directed(seed, n_nodes=40, n_edges=300):
+    """A random directed graph in which nodes 0-3 only send and 4-7 only
+    receive, so its reversed edges are not its edges."""
+    rng = np.random.default_rng(seed)
+    src, dst = np.divmod(np.arange(n_nodes * n_nodes), n_nodes)
+    allowed = (src != dst) & ~np.isin(src, range(4, 8)) & ~np.isin(dst, range(4))
+    pick = rng.choice(np.flatnonzero(allowed), size=n_edges, replace=False)
+    return SparseAdjacency(n_nodes, src[pick], dst[pick])
+
+
 def scatter_oracle(rows, idx, n_out):
     out = np.zeros((n_out, rows.shape[1]))
     for k in range(len(idx)):
@@ -38,6 +48,7 @@ def wide_range(rng, shape):
 
 
 BIT_IDENTITY_GRAPHS = [random_graph(seed).adjacency for seed in range(10)] + [
+    random_directed(seed) for seed in range(3)] + [
     SparseAdjacency(4, [], []),
     # node 4 has no edges, 0 and 3 only send, 2 only receives
     SparseAdjacency(5, [0, 0, 1, 3, 1], [1, 2, 2, 1, 0]),

@@ -183,9 +183,6 @@ def test_model_config_resolves_width_from_hidden_or_budget():
     cfg = model_config("commnet", "clustering", 2, hidden_dim=8, inner_steps=1)
     assert cfg == ModelConfig(arch="commnet", n_layers=2, hidden_dim=8, input_dim=11,
                               n_classes=10, inner_steps=1)
-    # hidden_dim wins over a budget
-    assert model_config("commnet", "clustering", 2, hidden_dim=8, budget=5000) == \
-        model_config("commnet", "clustering", 2, hidden_dim=8)
     cfg = model_config("gated_gcn", "matching", 3, budget=5000, use_norm=False)
     assert (cfg.input_dim, cfg.n_classes, cfg.use_norm) == (3, 2, False)
     assert count_params(cfg) <= 5000
@@ -194,8 +191,9 @@ def test_model_config_resolves_width_from_hidden_or_budget():
 
 
 def test_model_config_checks_every_field_before_solving():
-    with pytest.raises(ContractError, match="set hidden_dim or budget"):
-        model_config("commnet", "clustering", 2)
+    for width in (dict(), dict(hidden_dim=8, budget=5000)):
+        with pytest.raises(ContractError, match="set hidden_dim or budget"):
+            model_config("commnet", "clustering", 2, **width)
     with pytest.raises(ContractError, match="unknown task"):
         model_config("commnet", "coloring", 2, hidden_dim=8)
     with pytest.raises(BudgetError):
