@@ -30,9 +30,7 @@ from .generators import (
     Graph,
     SbmParams,
     TaskInstance,
-    graph_from_text,
     graph_to_text,
-    instance_from_text,
     instance_to_text,
     make_clustering_instance,
     make_matching_instance,

@@ -161,16 +161,6 @@ class SparseAdjacency:
                               end - start)
         return EdgeHalf(slice(first, stop), slice(start, end), incidence)
 
-    def to_dense(self):
-        """The n x n matrix with A[i, j] = 1 for each edge j -> i.
-
-        No library code calls it: it is the dense reference against which
-        the tests check the sparse operators, kernels and aggregation ops.
-        """
-        a = np.zeros((self.n_nodes, self.n_nodes))
-        a[self.dst, self.src] = 1.0
-        return a
-
     def __repr__(self):
         return f"SparseAdjacency(n_nodes={self.n_nodes}, n_edges={self.n_edges})"
 

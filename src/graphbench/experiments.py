@@ -24,7 +24,7 @@ record with its seed), and for learning_speed sweeps ``learning_speed.csv``.
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -266,16 +266,19 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers=1):
             for value in spec.values
             for trial in range(spec.trials)]
     pending = [cell for cell in grid if not os.path.exists(_cell_path(out_dir, *cell))]
-    pool = ProcessPoolExecutor(max_workers=workers) if pending and workers > 1 else None
-    # yields the pending cells' records in grid order, as stored_json asks for them
-    records = (pool.map if pool else map)(
-        run_single_cell, [spec] * len(pending), *zip(*pending))
-    try:
-        cells = {cell: stored_json(_cell_path(out_dir, *cell), lambda: next(records), ours)
-                 for cell in grid}
-    finally:
-        if pool:
+    if pending and workers > 1:
+        # each cell is stored the moment it finishes, so a kill loses only
+        # the cells still running; a failing cell raises as it completes
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            running = {pool.submit(run_single_cell, spec, *cell): cell for cell in pending}
+            for fut in as_completed(running):
+                stored_json(_cell_path(out_dir, *running[fut]), fut.result, ours)
+        finally:
             pool.shutdown(cancel_futures=True)
+    cells = {cell: stored_json(_cell_path(out_dir, *cell),
+                               lambda: run_single_cell(spec, *cell), ours)
+             for cell in grid}
 
     timings = {}
     if spec.time_batches:

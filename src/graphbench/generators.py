@@ -210,7 +210,8 @@ def make_clustering_instance(q_noise, rng_seed):
 
 
 # ---------------------------------------------------------------------------
-# text serialization (canonical, so equal instances serialize byte-for-byte)
+# text serialization, write-only (canonical, so equal instances serialize
+# byte-for-byte)
 
 def _to_text(magic, fields, graph, node_columns):
     """Header lines, then one line per node from ``node_columns``, then the edges."""
@@ -233,96 +234,6 @@ def instance_to_text(inst: TaskInstance):
               else np.zeros(graph.n_nodes, dtype=np.int64))
     return _to_text("graphbench-instance v1", {"task": inst.task}, graph,
                     (graph.signal, graph.community, inst.targets, seeded))
-
-
-def _parse_header(lines, magic, fields):
-    """Header values by field name, each converted by its type in ``fields``."""
-    if not lines or lines[0] != magic:
-        raise ContractError(f"expected header {magic!r}")
-    values = {}
-    for pos, (name, kind) in enumerate(fields.items(), start=1):
-        try:
-            key, raw = lines[pos].split(" ", 1)
-        except (IndexError, ValueError):
-            raise ContractError(f"missing header field {name!r}") from None
-        if key != name:
-            raise ContractError(f"expected field {name!r}, found {key!r}")
-        try:
-            values[name] = kind(raw)
-        except ValueError:
-            raise ContractError(f"line {pos + 1}: {name} expects {kind.__name__}, "
-                                f"got {raw!r}") from None
-    return values, len(fields) + 1
-
-
-def _parse_sections(lines, pos, n_nodes, node_width):
-    # with an 'end' line ahead, every line read below exists: a node line
-    # that reads 'end' fails to parse before the text runs out
-    if "end" not in lines[pos:]:
-        raise ContractError(f"line {len(lines)}: text ends before 'end'")
-
-    def ints(k, width, what):
-        parts = lines[k].split()
-        try:
-            if len(parts) != width:
-                raise ValueError
-            return [int(p) for p in parts]
-        except ValueError:
-            raise ContractError(f"line {k + 1}: {what} must be {width} integers, "
-                                f"got {lines[k]!r}") from None
-
-    if lines[pos] != "nodes":
-        raise ContractError(f"line {pos + 1}: expected 'nodes' section")
-    rows = [ints(pos + 1 + i, node_width, "a node line") for i in range(n_nodes)]
-    pos += 1 + n_nodes
-    if lines[pos] != "edges":
-        raise ContractError(f"line {pos + 1}: expected 'edges' section")
-    pos += 1
-    pairs = []
-    while lines[pos] != "end":
-        pairs.append(ints(pos, 2, "an edge line"))
-        pos += 1
-    node_rows = np.asarray(rows, dtype=np.int64).reshape(n_nodes, node_width)
-    pair_arr = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
-    return node_rows, pair_arr
-
-
-def _parse_graph(text, magic, fields, node_width):
-    """(header values, Graph, node rows) of a text ``_to_text`` wrote."""
-    lines = text.splitlines()
-    header, pos = _parse_header(lines, magic,
-                                {**fields, "n_nodes": int, "n_communities": int})
-    # the two counts are the header's last lines, n_nodes first
-    for lineno, name in enumerate(("n_nodes", "n_communities"), start=pos - 1):
-        if header[name] < 0:
-            raise ContractError(f"line {lineno}: {name} must not be negative, "
-                                f"got {header[name]}")
-    n, k = header["n_nodes"], header["n_communities"]
-    rows, pairs = _parse_sections(lines, pos, n, node_width)
-    community = rows[:, 1]
-    bad = np.flatnonzero((community < 0) | (community >= k))
-    if bad.size:
-        raise ContractError(
-            f"line {pos + 2 + bad[0]}: community {community[bad[0]]} is out of "
-            f"range for n_communities {k}")
-    graph = Graph(n_nodes=n, adjacency=SparseAdjacency.from_undirected(n, pairs),
-                  signal=rows[:, 0], community=community, n_communities=k)
-    return header, graph, rows
-
-
-def graph_from_text(text):
-    return _parse_graph(text, "graphbench-graph v1", {}, node_width=2)[1]
-
-
-def instance_from_text(text):
-    header, graph, rows = _parse_graph(text, "graphbench-instance v1", {"task": str},
-                                       node_width=4)
-    task = header["task"]
-    if task not in TASKS:
-        raise ContractError(f"unknown task {task!r}")
-    seed_mask = rows[:, 3].astype(bool) if task == TASK_CLUSTERING else None
-    return TaskInstance(graph=graph, task=task, targets=rows[:, 2],
-                        seed_mask=seed_mask)
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,6 @@ class ModelConfig:
     def to_json(self):
         return json.dumps(asdict(self), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
-
 
 class Module:
     """Base of every layer and the model; a parameter is declared by assigning it.
@@ -332,36 +328,6 @@ class GraphModel(Module):
     def save(self, path):
         arrays = {f"param:{k}": t.data for k, t in self.named_tensors()}
         np.savez(path, __config__=np.array(self.config.to_json()), **arrays)
-
-    @classmethod
-    def load(cls, path):
-        """Rebuild a saved model; every parameter must be present with its shape."""
-        with np.load(path, allow_pickle=False) as blob:
-            if "__config__" not in blob.files:
-                raise ContractError(f"{path}: checkpoint has no __config__ entry")
-            try:
-                config = ModelConfig.from_json(str(blob["__config__"]))
-            except (TypeError, ValueError) as exc:
-                raise ContractError(f"{path}: malformed __config__: {exc}") from None
-            model = cls(config, seed=0)
-            params = model.parameters()
-            keys = set(blob.files) - {"__config__"}
-            expected = {f"param:{k}" for k in params}
-            if keys != expected:
-                old = (" (buffer: entries are batch-norm running statistics, "
-                       "which this format no longer has)"
-                       if any(k.startswith("buffer:") for k in keys) else "")
-                raise ContractError(
-                    f"{path}: checkpoint does not match a {config.arch} model: "
-                    f"missing {sorted(expected - keys)}, "
-                    f"unexpected {sorted(keys - expected)}{old}")
-            for name, t in params.items():
-                data = blob[f"param:{name}"]
-                if data.shape != t.data.shape:
-                    raise ContractError(f"{path}: {name} has shape {data.shape}, "
-                                        f"expected {t.data.shape}")
-                t.data = data.astype(np.float64)
-        return model
 
 
 @functools.cache

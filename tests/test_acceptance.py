@@ -28,6 +28,8 @@ from graphbench.models import (
 from graphbench.tensor import Tensor, gated_aggregate, neighbor_sum
 from graphbench.training import task_dims
 
+from dense_reference import to_dense
+
 BAND = 0.02  # accuracy slack for the depth-trend checks, in absolute points
 
 
@@ -82,7 +84,7 @@ def test_criterion_02_sparse_aggregation_is_exact():
     for _ in range(200):
         graph = _random_small_graph(rng)
         adj = graph.adjacency
-        dense = adj.to_dense()
+        dense = to_dense(adj)
         # integer-valued features make sparse and dense sums exact
         h_int = Tensor(rng.integers(-4, 5, size=(graph.n_nodes, 8)).astype(float))
         agg = neighbor_sum(h_int, adj)

@@ -8,12 +8,20 @@ import pytest
 
 import graphbench
 from graphbench.cli import main
-from graphbench.generators import graph_from_text, instance_from_text
+from graphbench.generators import graph_to_text, instance_to_text, make_pattern
 from graphbench.models import ModelConfig, count_params
+from graphbench.seeding import derive_seed
+from graphbench.training import make_instance_fn
 
 TRAIN_ARGS = ["train", "--arch", "commnet", "--task", "matching",
               "--layers", "1", "--inner-steps", "2", "--iters", "5",
               "--eval-instances", "2"]
+
+
+def _gen_draws(task, count, seed):
+    """The instances ``gen`` draws at the default q, in file order."""
+    draw = make_instance_fn(task, 0.1, seed)
+    return [draw(derive_seed(seed, "gen", k)) for k in range(count)]
 
 
 def test_gen_matching_files_parse(tmp_path, capsys):
@@ -21,11 +29,12 @@ def test_gen_matching_files_parse(tmp_path, capsys):
     rc = main(["gen", "--task", "matching", "--count", "2",
                "--seed", "7", "--out", str(out)])
     assert rc == 0
-    pattern = graph_from_text((out / "pattern.txt").read_text())
+    pattern = make_pattern(derive_seed(7, "pattern"))
+    assert (out / "pattern.txt").read_bytes() == graph_to_text(pattern).encode()
     assert pattern.n_nodes == 20
     pattern_pairs = pattern.adjacency.undirected_pairs()
-    for k in range(2):
-        inst = instance_from_text((out / f"instance-{k:04d}.txt").read_text())
+    for k, inst in enumerate(_gen_draws("matching", 2, 7)):
+        assert (out / f"instance-{k:04d}.txt").read_bytes() == instance_to_text(inst).encode()
         assert inst.task == "matching"
         assert int(np.sum(inst.targets)) == 20
         # pattern.txt is the pattern embedded in the last 20 nodes of each instance
@@ -40,7 +49,8 @@ def test_gen_clustering_files_parse(tmp_path):
     out = tmp_path / "inst"
     assert main(["gen", "--task", "clustering", "--count", "1",
                  "--out", str(out)]) == 0
-    inst = instance_from_text((out / "instance-0000.txt").read_text())
+    [inst] = _gen_draws("clustering", 1, 0)
+    assert (out / "instance-0000.txt").read_bytes() == instance_to_text(inst).encode()
     assert inst.task == "clustering"
     assert inst.seed_mask.sum() == 10
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import pathlib
@@ -5,6 +6,8 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -276,6 +279,40 @@ def test_run_experiment_parallel_matches_serial(tmp_path):
     run_experiment(spec, d1, workers=1)
     run_experiment(spec, d2, workers=2)
     assert (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
+
+
+def _cell_after_release(release, spec, arch, value, trial):
+    """``run_single_cell``, where trial 0 first waits (at most 30 s) for ``release``."""
+    deadline = time.monotonic() + 30
+    while trial == 0 and not release.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return run_single_cell(spec, arch, value, trial)
+
+
+def test_parallel_sweep_stores_each_cell_as_it_finishes(tmp_path, monkeypatch):
+    # trial 0 finishes only once the test has seen trials 1 and 2 on disk;
+    # a sweep that stores cells in grid order keeps them in memory till then
+    release = tmp_path / "release"
+    monkeypatch.setattr(experiments, "run_single_cell",
+                        functools.partial(_cell_after_release, release))
+    spec = tiny_spec(trials=3)
+    out = tmp_path / "parallel"
+    sweep = threading.Thread(target=run_experiment, args=(spec, out, 2))
+    sweep.start()
+    cell = [pathlib.Path(experiments._cell_path(out, "commnet", 1, t)) for t in range(3)]
+    deadline = time.monotonic() + 30
+    try:
+        while not (cell[1].exists() and cell[2].exists()) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        stored = [path.exists() for path in cell]
+    finally:
+        release.touch()
+        sweep.join(timeout=120)
+    assert stored == [False, True, True]
+    assert not sweep.is_alive()
+    run_experiment(spec, tmp_path / "serial", workers=1)
+    assert (out / "results.csv").read_bytes() == \
+        (tmp_path / "serial" / "results.csv").read_bytes()
 
 
 FORK_SPEC = dict(name="fork", sweep="layers", task="matching", archs=("gated_gcn",),

@@ -5,9 +5,7 @@ from graphbench.errors import ContractError
 from graphbench.generators import (
     SbmParams,
     _sbm_edge_pairs,
-    graph_from_text,
     graph_to_text,
-    instance_from_text,
     instance_to_text,
     make_clustering_instance,
     make_matching_instance,
@@ -159,75 +157,10 @@ def test_clustering_features_encoding():
     assert np.array_equal(feats.sum(axis=1), np.ones(inst.graph.n_nodes))
 
 
-def test_instance_text_roundtrip():
-    for inst in (make_clustering_instance(0.15, 8),
-                 make_matching_instance(0.15, 8)[0]):
-        text = instance_to_text(inst)
-        again = instance_from_text(text)
-        assert instance_to_text(again) == text
-
-
-def test_graph_text_roundtrip():
-    g = make_pattern(3)
-    text = graph_to_text(g)
-    assert graph_to_text(graph_from_text(text)) == text
-
-
 def test_instance_text_is_stable_for_seed():
     a = instance_to_text(make_clustering_instance(0.1, 77))
     b = instance_to_text(make_clustering_instance(0.1, 77))
     assert a == b
-
-
-def test_parse_rejects_malformed():
-    with pytest.raises(ContractError):
-        instance_from_text("not a header\n")
-    good = instance_to_text(make_clustering_instance(0.1, 1))
-    with pytest.raises(ContractError):
-        instance_from_text(good.replace("task clustering", "task foo"))
-
-
-def _break_instance_text(how):
-    """A clustering instance's text, broken one way, and the line to blame."""
-    lines = instance_to_text(make_clustering_instance(0.1, 1)).splitlines()
-    edges = lines.index("edges")
-    if how == "cut before end":
-        return "\n".join(lines[:-1]) + "\n", len(lines) - 1
-    if how == "cut inside the nodes":
-        return "\n".join(lines[:9]) + "\n", 9
-    if how == "letter in the header":
-        lines[2] = "n_nodes 1x"
-        return "\n".join(lines) + "\n", 3
-    if how == "letter in a node line":
-        lines[7] = "x " + lines[7].split(" ", 1)[1]
-        return "\n".join(lines) + "\n", 8
-    if how == "negative node count":
-        lines[2] = "n_nodes -3"
-        return "\n".join(lines) + "\n", 3
-    if how == "label past n_communities":
-        lines[3] = "n_communities 2"
-        first = next(k for k in range(lines.index("nodes") + 1, edges)
-                     if int(lines[k].split()[1]) >= 2)
-        return "\n".join(lines) + "\n", first + 1
-    lines[edges + 1] += " 4"  # three fields on an edge line
-    return "\n".join(lines) + "\n", edges + 2
-
-
-@pytest.mark.parametrize("how", ["cut before end", "cut inside the nodes",
-                                 "letter in the header", "letter in a node line",
-                                 "three fields on an edge line"])
-def test_malformed_instance_text_names_its_line(how):
-    text, lineno = _break_instance_text(how)
-    with pytest.raises(ContractError, match=f"^line {lineno}: "):
-        instance_from_text(text)
-
-
-@pytest.mark.parametrize("how, field", [("negative node count", "n_nodes"),
-                                        ("label past n_communities", "community")])
-def test_out_of_range_count_or_label_names_its_line_and_field(how, field):
-    text, lineno = _break_instance_text(how)
-    with pytest.raises(ContractError, match=f"^line {lineno}: {field} "):
-        instance_from_text(text)
 
 
 def test_validate_sbm_stats_needs_samples():

